@@ -4,6 +4,7 @@ general systems.
 """
 
 import csv
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ __all__ = [
     "reach_hull_planar",
     "boundary_curve_to_csv",
 ]
+
+logger = logging.getLogger(__name__)
 
 # bracket scan resolution for locating switching-function zeros
 SCAN_RESOLUTION = 1e-6
@@ -102,13 +105,10 @@ def switching_function(sys: LtiSystem, c, T: float, t: float) -> np.ndarray:
     return (c @ matrix_exponential(sys.A, T - t)) @ sys.B
 
 
-def _switching_grid(sys: LtiSystem, c, T: float, num: int):
-    """psi on a uniform time grid, shape (num, m), plus the grid itself."""
-    c = np.asarray(c, dtype=float)
+def _switching_grid(sys: LtiSystem, c, T: float, num: int) -> np.ndarray:
+    """psi on linspace(0, T, num), shape (num, m)."""
     # e^{A (T - t_k)} for t_k ascending equals e^{A s} for s descending
-    mats = expm_grid(sys.A, T, 0.0, num)
-    psi = np.einsum("n,knj,jm->km", c, mats, sys.B, optimize=True)
-    return np.linspace(0.0, T, num), psi
+    return expm_grid(sys.A, T, 0.0, num, left=np.asarray(c, dtype=float), right=sys.B)[:, 0]
 
 
 def _refine_zero(sys, c, T, i, a, b):
@@ -119,19 +119,22 @@ def _refine_zero(sys, c, T, i, a, b):
     if fb == 0.0:
         return b
     if fa * fb > 0.0:
-        # grid-level sign change not confirmed by exact evaluation
+        logger.warning(
+            "channel %d: grid sign change on [%r, %r] not confirmed by direct "
+            "evaluation (psi %r, %r); using the midpoint", i, a, b, fa, fb,
+        )
         return 0.5 * (a + b)
     return float(brentq(f, a, b, xtol=1e-15, rtol=4.0 * np.finfo(float).eps))
 
 
 def _channel_sign_changes(values: np.ndarray):
     """Index pairs (j, k) of consecutive nonzero samples with opposite sign."""
-    signs = np.sign(values)
-    nz = np.flatnonzero(signs)
-    if len(nz) < 2:
-        return []
-    flips = np.flatnonzero(signs[nz[1:]] * signs[nz[:-1]] < 0)
-    return [(int(nz[j]), int(nz[j + 1])) for j in flips]
+    if np.all(values):
+        negative = np.signbit(values)
+        return [(int(j), int(j) + 1) for j in np.flatnonzero(negative[1:] != negative[:-1])]
+    nz = np.flatnonzero(values)
+    negative = np.signbit(values[nz])
+    return [(int(nz[j]), int(nz[j + 1])) for j in np.flatnonzero(negative[1:] != negative[:-1])]
 
 
 def bang_bang_control(
@@ -150,12 +153,14 @@ def bang_bang_control(
     if bounds.m != sys.m:
         raise DimensionError(f"bounds have {bounds.m} channels, system has {sys.m}")
     num = int(round(1.0 / scan_resolution)) + 1
-    grid, psi = _switching_grid(sys, c, T, num)
+    psi = _switching_grid(sys, c, T, num)
+    # the times of linspace(0, T, num), without forming the whole grid
+    node = lambda j: T if j == num - 1 else j * (T / (num - 1))
 
     switch_times = []
     for i in range(sys.m):
         for j, k in _channel_sign_changes(psi[:, i]):
-            switch_times.append(_refine_zero(sys, c, T, i, grid[j], grid[k]))
+            switch_times.append(_refine_zero(sys, c, T, i, node(j), node(k)))
     switch_times = np.array(sorted(switch_times))
     if len(switch_times) > 1:
         keep = np.concatenate([[True], np.diff(switch_times) > 1e-12 * max(T, 1.0)])
@@ -179,9 +184,9 @@ def switch_count(sys: LtiSystem, c, T: float, grid_points: int) -> SwitchReport:
     if grid_points < 100:
         raise ValueError("grid_points must be >= 100")
     c = np.asarray(c, dtype=float)
-    _, psi = _switching_grid(sys, c, T, grid_points)
+    psi = _switching_grid(sys, c, T, grid_points)
     zero_scale = 1e-12 * np.linalg.norm(c) * np.linalg.norm(sys.B, 2)
-    identically_zero = np.max(np.abs(psi), axis=0) < zero_scale
+    identically_zero = np.maximum(psi.max(axis=0), -psi.min(axis=0)) < zero_scale
     counts = np.zeros(sys.m, dtype=int)
     for i in range(sys.m):
         if not identically_zero[i]:

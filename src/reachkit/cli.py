@@ -139,8 +139,6 @@ def _validate_task_params(name: str, params: dict) -> None:
                 "optimize constraint must set type to 'gramian_trace' or 'lp_volume'"
             )
         options = params.get("options", {})
-        from .design import OptimizeOptions
-
         known = set(OptimizeOptions.__dataclass_fields__)
         unknown = set(options) - known
         if unknown:

@@ -263,16 +263,11 @@ class GramianTraceConstraint(Constraint):
             raise ValueError(f"factor must be positive, got {factor}")
         self.factor = factor
         self.horizon = horizon
-        self._baseline_cache = {}
 
     def baseline_trace(self, problem) -> float:
-        key = id(problem)
-        if key not in self._baseline_cache:
-            sys_base = problem.build_system(problem.baseline)
-            self._baseline_cache[key] = gramian_trace(
-                reachability_gramian(sys_base, self.horizon)
-            )
-        return self._baseline_cache[key]
+        return problem.baseline_value(self, lambda: gramian_trace(
+            reachability_gramian(problem.build_system(problem.baseline), self.horizon)
+        ))
 
     def residual(self, problem, dv) -> float:
         sys_dv = problem.build_system(dv)
@@ -314,7 +309,6 @@ class LpVolumeConstraint(Constraint):
         self.projection = None if projection is None else tuple(projection)
         self.degenerate_evaluations = 0
         self._grid = None if grid is None else np.atleast_2d(np.asarray(grid, dtype=float))
-        self._baseline_cache = {}
 
     def grid_for(self, n: int) -> np.ndarray:
         if self._grid is None:
@@ -339,10 +333,7 @@ class LpVolumeConstraint(Constraint):
         return hull.volume
 
     def baseline_volume(self, problem) -> float:
-        key = id(problem)
-        if key not in self._baseline_cache:
-            self._baseline_cache[key] = self._volume_at(problem, problem.baseline)
-        return self._baseline_cache[key]
+        return problem.baseline_value(self, lambda: self._volume_at(problem, problem.baseline))
 
     def residual(self, problem, dv) -> float:
         return self._volume_at(problem, dv) - self.factor * self.baseline_volume(problem)
@@ -402,6 +393,8 @@ class DesignProblem:
     constraints: tuple
     model: object = None
     trim: TrimPoint | None = None
+    # constraint -> its value at the baseline; held here so it dies with the problem
+    _baselines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.constraints = tuple(self.constraints)
@@ -415,6 +408,12 @@ class DesignProblem:
     @property
     def names(self):
         return tuple(self.box.keys())
+
+    def baseline_value(self, constraint, compute):
+        """compute() on the first call for constraint, the stored value after."""
+        if constraint not in self._baselines:
+            self._baselines[constraint] = compute()
+        return self._baselines[constraint]
 
     def build_system(self, dv) -> LtiSystem:
         if self.model is None:

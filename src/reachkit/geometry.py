@@ -76,32 +76,6 @@ def _degenerate_polytope(points: np.ndarray, dim: int) -> Polytope:
     )
 
 
-def _cross2(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _monotone_chain(points: np.ndarray):
-    """Indices of the 2-D hull, counterclockwise from the lexicographic min."""
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    dedup = []
-    for i in order:
-        if dedup and np.array_equal(points[dedup[-1]], points[i]):
-            continue
-        dedup.append(int(i))
-
-    def build(seq):
-        chain = []
-        for i in seq:
-            while len(chain) >= 2 and _cross2(points[chain[-2]], points[chain[-1]], points[i]) <= 0.0:
-                chain.pop()
-            chain.append(i)
-        return chain
-
-    lower = build(dedup)
-    upper = build(reversed(dedup))
-    return np.array(lower[:-1] + upper[:-1], dtype=int)
-
-
 def _polygon_facets(vertices: np.ndarray):
     rolled = np.roll(vertices, -1, axis=0)
     edges = rolled - vertices
@@ -137,8 +111,8 @@ def _fan_volume(points: np.ndarray, simplices: np.ndarray, center: np.ndarray, d
 def convex_hull(points, dim: int | None = None) -> Polytope:
     """Convex hull of a point cloud in dimension 2 to 4.
 
-    The 2-D case uses a monotone chain with lexicographic tie-breaking;
-    3-D and 4-D use quickhull (qhull, triangulated output). Hull vertices
+    Every dimension uses quickhull (qhull, triangulated output); 2-D
+    vertices run counterclockwise from the lexicographic minimum. Hull vertices
     are always a subset of the input points and the result is
     deterministic for a given input order. Affinely dependent input
     yields a degenerate polytope instead of an error.
@@ -162,8 +136,15 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
     span = points.max(axis=0) - points.min(axis=0)
     merge_tol = 1e-10 * max(1.0, float(np.linalg.norm(span)))
 
+    try:
+        hull = _QhullConvexHull(points, qhull_options="Qt")
+    except _QhullError:
+        return _degenerate_polytope(points, dim)
+
     if dim == 2:
-        idx = _monotone_chain(points)
+        # qhull lists 2-D vertices counterclockwise; start at the lexicographic min
+        idx = hull.vertices
+        idx = np.roll(idx, -int(np.lexsort((points[idx, 1], points[idx, 0]))[0]))
         vertices = points[idx].copy()
         normals, offsets = _polygon_facets(vertices)
         return Polytope(
@@ -176,10 +157,6 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
             degenerate=False,
         )
 
-    try:
-        hull = _QhullConvexHull(points, qhull_options="Qt")
-    except _QhullError:
-        return _degenerate_polytope(points, dim)
     idx = np.sort(hull.vertices)
     vertices = points[idx].copy()
     center = vertices.mean(axis=0)

@@ -142,8 +142,7 @@ def lp_optimal_control(
     if lambda0.shape != (sys.n,):
         raise DimensionError(f"lambda0 must have shape ({sys.n},), got {lambda0.shape}")
     times = np.linspace(0.0, spec.T, num_points)
-    mats = expm_grid(-sys.A.T, 0.0, spec.T, num_points)
-    z = -np.einsum("knj,j->kn", mats, lambda0) @ sys.B
+    z = expm_grid(-sys.A.T, 0.0, spec.T, num_points, left=-sys.B.T, right=lambda0)[:, :, 0]
     return LpOptimalControl(
         A=sys.A,
         B=sys.B,
@@ -159,10 +158,8 @@ def _quadrature_kernels(a_bytes: bytes, b_bytes: bytes, n: int, m: int, T: float
     """Shared Simpson-node matrices: -B^T e^{-A^T t_j} and e^{A(T-t_j)} B."""
     A = np.frombuffer(a_bytes, dtype=float).reshape(n, n)
     B = np.frombuffer(b_bytes, dtype=float).reshape(n, m)
-    decay = expm_grid(-A.T, 0.0, T, nodes)
-    pullback = -np.einsum("mn,jnk->jmk", B.T, decay)
-    flow = expm_grid(A, T, 0.0, nodes)
-    pushforward = np.einsum("jnk,km->jnm", flow, B)
+    pullback = expm_grid(-A.T, 0.0, T, nodes, left=-B.T)
+    pushforward = expm_grid(A, T, 0.0, nodes, right=B)
     weights = simpson_weights(nodes, T)
     pullback.flags.writeable = False
     pushforward.flags.writeable = False
@@ -183,8 +180,7 @@ def prop2_bound(sys: LtiSystem, spec: LpSpec, nodes: int = DEFAULT_NODES) -> flo
     control whose Lp cost stays within the budget. R is the reciprocal of
     m times the Simpson integral of ||vec(e^{-A tau} B)||_p^q over [0, T].
     """
-    decay = expm_grid(-sys.A, 0.0, spec.T, nodes)
-    stacked = np.einsum("jnk,km->jnm", decay, sys.B).reshape(nodes, -1)
+    stacked = expm_grid(-sys.A, 0.0, spec.T, nodes, right=sys.B).reshape(nodes, -1)
     vec_norms = np.sum(np.abs(stacked) ** spec.p, axis=1) ** (1.0 / spec.p)
     integral = float(simpson_weights(nodes, spec.T) @ vec_norms**spec.q)
     return 1.0 / (sys.m * integral)

@@ -2,8 +2,8 @@
 and a fixed-step RK4 integrator used as an independent cross-check.
 """
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
@@ -136,53 +136,57 @@ def matrix_exponential(A, t: float) -> np.ndarray:
     return out
 
 
-_GRID_BLOCK = 64
+def _doubling_table(A: np.ndarray, step: float, count: int) -> np.ndarray:
+    """e^{A r step} for r = 0..count-1, shape (count, n, n).
+
+    Entry r is the product of the direct exponentials e^{A 2^j step} over
+    the set bits j of r, so no entry carries more than log2(count) factors.
+    """
+    table = np.empty((count, A.shape[0], A.shape[0]))
+    table[0] = np.eye(A.shape[0])
+    size = 1
+    while size < count:
+        top = min(2 * size, count)
+        np.matmul(table[: top - size], matrix_exponential(A, size * step), out=table[size:top])
+        size *= 2
+    return table
 
 
-# a handful of entries covers repeated sweeps; large scan grids are ~30 MB each
-@lru_cache(maxsize=8)
-def _expm_grid_cached(a_bytes: bytes, n: int, t0: float, t1: float, num: int):
-    A = np.frombuffer(a_bytes, dtype=float).reshape(n, n)
-    times = np.linspace(t0, t1, num)
-    if num <= 2 * _GRID_BLOCK:
-        out = np.stack([matrix_exponential(A, t) for t in times])
-        out.flags.writeable = False
-        return out
-    step = (t1 - t0) / (num - 1)
-    # in-block powers P[r] = e^{A r step}, r = 0..block-1
-    estep = matrix_exponential(A, step)
-    powers = np.empty((_GRID_BLOCK, n, n))
-    powers[0] = np.eye(n)
-    for r in range(1, _GRID_BLOCK):
-        powers[r] = powers[r - 1] @ estep
-    eblock = powers[-1] @ estep
-    nblocks = -(-num // _GRID_BLOCK)
-    anchors = np.empty((nblocks, n, n))
-    anchors[0] = matrix_exponential(A, t0)
-    for k in range(1, nblocks):
-        anchors[k] = anchors[k - 1] @ eblock
-    out = np.einsum("kij,rjl->kril", anchors, powers)
-    out = out.reshape(nblocks * _GRID_BLOCK, n, n)[:num]
-    out = np.ascontiguousarray(out)
-    out.flags.writeable = False
-    return out
+def expm_grid(A, t0: float, t1: float, num: int, *, left=None, right=None) -> np.ndarray:
+    """left @ e^{A t} @ right for t on linspace(t0, t1, num), shape (num, p, q).
 
-
-def expm_grid(A, t0: float, t1: float, num: int) -> np.ndarray:
-    """e^{A t} for t on linspace(t0, t1, num), shape (num, n, n).
-
-    Uses anchored products of a single-step exponential so the cost is
-    O(num) small matrix multiplies instead of num full expm calls. Results
-    are cached per (A, t0, t1, num) and returned read-only.
+    left is (p, n) and right is (n, q); a 1-D left is a row, a 1-D right a
+    column, and an omitted operand is the identity, so the plain call
+    returns the (num, n, n) exponentials. The grid is factored as
+    e^{A t_k} = anchor_{k // L} @ power_{k % L} with L ~ sqrt(num). Both
+    tables are built by doubling from the grid end nearest t = 0, so every
+    entry is a product of about log2(num) direct exponentials whose
+    times share one sign (on grids that do not straddle t = 0), and no
+    entry is reached by stepping back from a large e^{A t}. A grid running
+    toward 0 is computed from the other end and returned as a reversed
+    view, so both directions give the same values. The operands are
+    folded into the tables, and one GEMM of (num/L * p, n) by (n, L * q)
+    gives every node without forming (num, n, n). Nothing is cached.
     """
     A = np.ascontiguousarray(A, dtype=float)
     if num < 1:
         raise ValueError("num must be >= 1")
-    if num == 1:
-        out = matrix_exponential(A, t0)[None]
-        out.flags.writeable = False
-        return out
-    return _expm_grid_cached(A.tobytes(), A.shape[0], float(t0), float(t1), int(num))
+    n = A.shape[0]
+    start, end = (t0, t1) if num == 1 or abs(t0) <= abs(t1) else (t1, t0)
+    step = (end - start) / (num - 1) if num > 1 else 0.0
+    width = 1 << math.ceil(math.log2(num) / 2)
+    count = -(-num // width)
+    powers = _doubling_table(A, step, width)
+    anchors = matrix_exponential(A, start) @ _doubling_table(A, width * step, count)
+    if left is not None:
+        anchors = np.atleast_2d(np.asarray(left, dtype=float)) @ anchors
+    if right is not None:
+        right = np.asarray(right, dtype=float)
+        powers = powers @ (right[:, None] if right.ndim == 1 else right)
+    p, q = anchors.shape[1], powers.shape[2]
+    out = anchors.reshape(-1, n) @ powers.transpose(1, 0, 2).reshape(n, -1)
+    out = out.reshape(count, p, width, q).transpose(0, 2, 1, 3).reshape(-1, p, q)[:num]
+    return out if start == t0 else out[::-1]
 
 
 def convolution_integral(sys: LtiSystem, T: float, t0: float, t1: float) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Shared fixtures and independent numerical oracles for the test suite.
 
 Oracles deliberately avoid the library's computational paths: matrix
-exponentials come from eigendecomposition, integrals from (adaptive)
-trapezoid rules, and memberships from facet arithmetic.
+exponentials come from eigendecomposition, the 2-by-2 closed form or a
+direct scipy expm at every node (never chained products), integrals from
+(adaptive) trapezoid or Simpson rules, and memberships from facet
+arithmetic.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
 from reachkit import LtiSystem
 
@@ -35,6 +38,37 @@ def eig_expm_grid(A: np.ndarray, times: np.ndarray) -> np.ndarray:
     Vinv = np.linalg.inv(V)
     phases = np.exp(np.multiply.outer(times, lam))  # (K, n)
     return np.real(np.einsum("ij,kj,jl->kil", V, phases, Vinv))
+
+
+def closed_form_expm_grid(A: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """e^{A t} for a 2-by-2 A at each t, from A = mu I + N with N^2 = d2 I."""
+    mu = 0.5 * np.trace(A)
+    N = A - mu * np.eye(2)
+    d2 = mu * mu - np.linalg.det(A)
+    d = np.sqrt(abs(d2))
+    if d2 > 0:
+        even, odd = np.cosh(d * times), np.sinh(d * times) / d
+    elif d2 < 0:
+        even, odd = np.cos(d * times), np.sin(d * times) / d
+    else:
+        even, odd = np.ones_like(times), times
+    scale = np.exp(mu * times)[:, None, None]
+    return scale * (even[:, None, None] * np.eye(2) + odd[:, None, None] * N)
+
+
+def simpson_reach_oracle(sys: LtiSystem, p: int, T: float, costates, nodes: int = 2001):
+    """Simpson endpoints and p-costs of u = root_{p-1}(-B^T e^{-A^T t} lambda0),
+    with a direct scipy expm at every node."""
+    times = np.linspace(0.0, T, nodes)
+    w = np.full(nodes, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    w *= T / (3.0 * (nodes - 1))
+    pull = -np.einsum("nm,jkn->jmk", sys.B, expm(-sys.A[None] * times[:, None, None]))
+    push = np.einsum("jnk,km->jnm", expm(sys.A[None] * (T - times)[:, None, None]), sys.B)
+    z = np.einsum("jmk,lk->ljm", pull, np.atleast_2d(costates))
+    u = np.sign(z) * np.abs(z) ** (1.0 / (p - 1))
+    return np.einsum("j,jnm,ljm->ln", w, push, u), np.einsum("j,ljm->l", w, np.abs(u) ** p)
 
 
 def adaptive_trapezoid(f, a: float, b: float, rel_tol: float = 1e-10, max_levels: int = 24):

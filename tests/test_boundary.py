@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from reachkit import (
     switch_count,
     switching_function,
 )
+from reachkit.boundary import _channel_sign_changes, _refine_zero
 from reachkit.errors import DimensionError, UnsupportedConfigurationError
 
 from helpers import demo_system, eig_expm, random_bang_bang, random_planar_real_distinct
@@ -146,6 +149,67 @@ class TestSwitchCount:
                 c = rng.standard_normal(2)
                 report = switch_count(sys, c, 1.0, 10_000)
                 assert report.sign_changes[0] <= 1
+
+
+def sign_changes_by_sign_product(values):
+    # the former implementation: np.sign of the nonzero samples, fancy-indexed
+    signs = np.sign(values)
+    nz = np.flatnonzero(signs)
+    if len(nz) < 2:
+        return []
+    flips = np.flatnonzero(signs[nz[1:]] * signs[nz[:-1]] < 0)
+    return [(int(nz[j]), int(nz[j + 1])) for j in flips]
+
+
+class TestChannelSignChanges:
+    def test_zeros_are_skipped(self):
+        values = np.array([1.0, 0.0, -0.0, 0.0, -2.0, -0.0, 3.0, 4.0, 0.0])
+        assert _channel_sign_changes(values) == [(0, 4), (4, 6)]
+
+    def test_no_pairs_without_two_nonzero_samples(self):
+        assert _channel_sign_changes(np.zeros(5)) == []
+        assert _channel_sign_changes(np.array([0.0, -0.0, 2.0, 0.0])) == []
+        assert _channel_sign_changes(np.array([-1.0])) == []
+        assert _channel_sign_changes(np.zeros(0)) == []
+
+    def test_matches_sign_product_on_random_channels(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            values = rng.standard_normal(int(rng.integers(1, 60)))
+            if rng.random() < 0.5:
+                values[rng.random(len(values)) < 0.3] = rng.choice([0.0, -0.0])
+            assert _channel_sign_changes(values) == sign_changes_by_sign_product(values)
+
+
+class TestRefineZero:
+    def test_bracket_without_sign_change_warns(self, caplog):
+        sys = integrator()
+        with caplog.at_level("WARNING", logger="reachkit.boundary"):
+            t = _refine_zero(sys, np.array([1.0, 0.0]), 1.0, 0, 0.25, 0.5)
+        assert t == 0.375
+        assert "[0.25, 0.5]" in caplog.text
+
+    def test_confirmed_bracket_is_silent(self, caplog):
+        sys = LtiSystem([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]])
+        with caplog.at_level("WARNING", logger="reachkit.boundary"):
+            t = _refine_zero(sys, np.array([1.0, 0.0]), 1.0, 0, 0.5, 1.5)
+        # psi(t) = sin(1 - t) vanishes at t = 1
+        assert abs(t - 1.0) <= 1e-14
+        assert caplog.records == []
+
+
+class TestScanMemory:
+    def test_switch_scan_never_forms_the_dense_grid(self):
+        sys, num = demo_system(), 1_000_001
+        tracemalloc.start()
+        try:
+            bang_bang_control(sys, UNIT_BOUNDS, [1.0, -1.0], 1.0)
+            switch_count(sys, [1.0, -1.0], 1.0, num)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # e^{A t} on every node would take num * n * n * 8 = 32 MB; psi takes 8 MB
+        assert peak < 0.5 * num * sys.n * sys.n * 8
 
 
 class TestBoundaryCurve:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reachkit import LtiSystem, LpSpec
+from reachkit import LpSpec, LtiSystem, gramian_trace, reachability_gramian
 from reachkit.design import (
     BASELINE_CHORD,
     BASELINE_WINGSPAN,
@@ -121,6 +121,22 @@ class TestGramianTraceConstraint:
         base_trace = constraint.baseline_trace(problem)
         residual = constraint_gramian_trace(problem, problem.baseline)
         assert np.isclose(residual, -0.1 * base_trace, rtol=1e-12)
+
+    def test_baseline_belongs_to_its_problem(self):
+        # each problem is dropped before the next one is made, so the second
+        # usually gets the first one's id; the baseline must still be its own
+        def model(dv, trim):
+            return LtiSystem(DEMO_A, [[dv["theta"]], [0.0]])
+
+        constraint = GramianTraceConstraint(factor=1.0)
+        baselines = [DesignVariables({"theta": theta}) for theta in (1.0, 2.0)]
+        box = {"theta": (0.5, 4.0)}
+        for baseline in baselines:
+            problem = DesignProblem(objective=sum, box=box, baseline=baseline,
+                                    constraints=(constraint,), model=model)
+            expected = gramian_trace(reachability_gramian(model(baseline, None), 1.0))
+            assert constraint.baseline_trace(problem) == expected
+            del problem
 
     def test_residual_increasing_in_input_scale(self):
         # closed form for A = diag(-1, -2), B = [theta, theta]:

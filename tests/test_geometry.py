@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from reachkit import contains, convex_hull, polytope_to_json, volume
 from reachkit.errors import DegenerateGeometryError, UnsupportedDimensionError
@@ -51,6 +52,35 @@ class TestConvexHull2D:
         assert len(poly.vertices) == 2
         got = {tuple(v) for v in poly.vertices}
         assert got == {(0.0, 0.0), (2.0, 2.0)}
+
+
+    def test_vertices_duplicated_at_one_ulp(self):
+        # a sub-ulp edge between two copies of a vertex has an arbitrary
+        # orientation sign; the hull must neither keep it nor cut points off
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            pts = rng.standard_normal((int(rng.integers(8, 60)), 2)) * rng.uniform(0.1, 10.0, 2)
+            corners = pts[ConvexHull(pts).vertices]
+            shifted = corners.copy()
+            shifted[:, 0] = np.nextafter(shifted[:, 0], np.inf)
+            cloud = np.vstack([pts, np.nextafter(corners, np.inf),
+                               np.nextafter(corners, -np.inf), shifted])
+            cloud = cloud[rng.permutation(len(cloud))]
+            poly = convex_hull(cloud, 2)
+            span = float(np.max(np.ptp(cloud, axis=0)))
+            residuals = cloud @ poly.facet_normals.T - poly.facet_offsets
+            assert residuals.max() <= 1e-12 * span
+            assert poly.volume == pytest.approx(ConvexHull(cloud).volume, rel=1e-12)
+
+    def test_counterclockwise_from_lexicographic_min(self):
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal((50, 2))
+        poly = convex_hull(pts, 2)
+        first = np.lexsort((pts[:, 1], pts[:, 0]))[0]
+        assert poly.vertex_indices[0] == first
+        edges = np.roll(poly.vertices, -1, axis=0) - poly.vertices
+        turns = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
+        assert np.all(turns > 0.0)
 
 
 class TestConvexHullHighDim:

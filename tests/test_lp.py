@@ -18,7 +18,13 @@ from reachkit import (
 )
 from reachkit.lpreach import simpson_weights
 
-from helpers import demo_system, eig_expm_grid, frontier_adapted_grid, random_stable_system
+from helpers import (
+    demo_system,
+    eig_expm_grid,
+    frontier_adapted_grid,
+    random_stable_system,
+    simpson_reach_oracle,
+)
 
 SPEC6 = LpSpec(p=6, T=1.0)
 
@@ -137,6 +143,19 @@ class TestSampleReach:
                 np.linalg.norm(endpoint), 1e-9
             )
             assert abs(s.cost_p - cost) <= 1e-6 * max(cost, 1e-9)
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_saddle_against_direct_expm_simpson(self, p):
+        # the pushforward grid runs from T down to 0; anchoring it at e^{AT}
+        # once put this sweep 119% off for p = 2
+        sys = LtiSystem([[20.0, 1.0], [0.0, -20.0]], [[1.0], [1.0]])
+        grid = costate_grid(2, [0.5, 2.0], 16)
+        cloud = sample_reach(sys, LpSpec(p=p, T=1.0), grid)
+        endpoints, costs = simpson_reach_oracle(sys, p, 1.0, grid)
+        got = np.stack([s.endpoint for s in cloud.samples])
+        assert np.max(np.abs(got - endpoints)) <= 1e-10 * np.max(np.abs(endpoints))
+        got_costs = np.array([s.cost_p for s in cloud.samples])
+        assert np.max(np.abs(got_costs - costs) / costs) <= 1e-10
 
     def test_homogeneity_scaling(self):
         sys = demo_system()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from reachkit import (
     LtiSystem,
@@ -14,6 +15,7 @@ from reachkit.errors import DimensionError, IntervalError, NumericRangeError
 from helpers import (
     DEMO_EIG_FAST,
     DEMO_EIG_SLOW,
+    closed_form_expm_grid,
     conv_integral_oracle,
     demo_system,
     eig_expm,
@@ -109,6 +111,75 @@ class TestExpmGrid:
         sys = demo_system()
         grid = expm_grid(sys.A, 0.5, 0.5, 1)
         assert np.allclose(grid[0], eig_expm(sys.A, 0.5), atol=1e-13)
+
+
+# saddle, stiff, oscillatory and non-normal spectra with ||A|| T up to 200
+ORACLE_SPECTRA = {
+    "saddle-20": [[20.0, 1.0], [0.0, -20.0]],
+    "saddle-40": [[40.0, 1.0], [0.0, -40.0]],
+    "stiff": [[-40.0, 3.0], [0.0, -1.0]],
+    "oscillatory": [[-0.5, 30.0], [-30.0, -0.5]],
+    "non-normal": [[-5.0, 200.0], [0.0, -6.0]],
+}
+LEFT = np.array([0.6, -0.8])
+RIGHT = np.array([[1.0], [0.5]])
+
+
+def grid_errors(A, t0, t1, num, want, nodes=slice(None)):
+    """Largest per-node relative error of the dense and contracted grids.
+
+    want holds e^{A t} on the ascending grid; the dense error is relative
+    to max|e^{A t_k}|, the contracted one to |LEFT| |e^{A t_k}| |RIGHT|.
+    """
+    dense = expm_grid(A, t0, t1, num)
+    contracted = expm_grid(A, t0, t1, num, left=LEFT, right=RIGHT)
+    if t0 > t1:
+        dense, contracted = dense[::-1], contracted[::-1]
+    dense, contracted = dense[nodes], contracted[nodes]
+    dense_err = np.max(np.abs(dense - want), axis=(1, 2)) / np.max(np.abs(want), axis=(1, 2))
+    scale = np.abs(LEFT) @ np.abs(want) @ np.abs(RIGHT)
+    contracted_err = np.abs(contracted[:, 0] - LEFT @ want @ RIGHT) / scale
+    return float(dense_err.max()), float(contracted_err.max())
+
+
+class TestExpmGridOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECTRA))
+    def test_every_node_both_directions(self, name):
+        A = np.array(ORACLE_SPECTRA[name])
+        coarse = np.linspace(0.0, 1.0, 2001)
+        direct = expm(A[None] * coarse[:, None, None])
+        closed = closed_form_expm_grid(A, np.linspace(0.0, 1.0, 100001))
+        # a direct expm at each of 1e5 nodes takes ~10 s, so the fine grid
+        # meets it on the coarse nodes it contains and the closed form on all
+        cases = [(2001, direct, slice(None)), (100001, closed, slice(None)),
+                 (100001, direct, slice(None, None, 50))]
+        for num, want, nodes in cases:
+            for t0, t1 in ((0.0, 1.0), (1.0, 0.0)):
+                dense_err, contracted_err = grid_errors(A, t0, t1, num, want, nodes)
+                assert dense_err <= 1e-10, (num, t0, dense_err)
+                assert contracted_err <= 1e-10, (num, t0, contracted_err)
+
+    def test_direction_does_not_change_values(self):
+        A = np.array(ORACLE_SPECTRA["saddle-40"])
+        assert np.array_equal(expm_grid(A, 1.0, 0.0, 4097), expm_grid(A, 0.0, 1.0, 4097)[::-1])
+
+    @pytest.mark.parametrize("t0, t1", [(0.5, 1.5), (1.5, 0.5), (-1.0, -0.25), (0.0, -1.0)])
+    def test_grids_away_from_zero(self, t0, t1):
+        A = np.array(ORACLE_SPECTRA["saddle-20"])
+        times = np.linspace(t0, t1, 3001)
+        want = closed_form_expm_grid(A, times)
+        got = expm_grid(A, t0, t1, 3001)
+        err = np.max(np.abs(got - want), axis=(1, 2)) / np.max(np.abs(want), axis=(1, 2))
+        assert err.max() <= 1e-10
+
+    def test_operand_shapes(self):
+        A = demo_system().A
+        assert expm_grid(A, 0.0, 1.0, 7).shape == (7, 2, 2)
+        assert expm_grid(A, 0.0, 1.0, 7, left=LEFT).shape == (7, 1, 2)
+        assert expm_grid(A, 0.0, 1.0, 7, right=LEFT).shape == (7, 2, 1)
+        assert expm_grid(A, 0.0, 1.0, 7, left=np.eye(2)[:1], right=RIGHT).shape == (7, 1, 1)
+        with pytest.raises(ValueError):
+            expm_grid(A, 0.0, 1.0, 0)
 
 
 class TestConvolutionIntegral:
