@@ -25,15 +25,13 @@ from .design import (
     ScalableDerivativeTable,
     StabilityDerivatives,
     TrimPoint,
-    constraint_gramian_trace,
-    constraint_lp_volume,
     default_derivative_table,
     default_trim_point,
     longitudinal_model,
     optimize,
     surrogate_wing_problem,
 )
-from .geometry import Polytope, contains, convex_hull, polytope_to_json, volume
+from .geometry import Polytope, contains, convex_hull, polytope_to_json
 from .gramian import (
     Gramian,
     MinEnergyControl,

@@ -1,5 +1,11 @@
 """Command-line surface: one reachability task per invocation, JSON config
 in, deterministic CSV/JSON artifacts plus a hashed manifest out.
+
+TASKS maps each task name to its parse function. A parse function reads
+every config key it uses once, checks its JSON type, and builds the
+library objects that hold the domain checks; it returns the compute step.
+Any error while parsing is a config error (exit 2), any error while
+computing a numeric failure (exit 3), and neither writes anything.
 """
 
 import argparse
@@ -7,8 +13,9 @@ import datetime
 import hashlib
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +26,7 @@ from .design import (
     GramianTraceConstraint,
     LpVolumeConstraint,
     OptimizeOptions,
-    OptResult,
+    ScalableDerivativeTable,
     StabilityDerivatives,
     TrimPoint,
     default_derivative_table,
@@ -31,226 +38,189 @@ from .design import (
 from .errors import ConfigError
 from .geometry import polytope_to_json
 from .gramian import ellipsoid_to_json, gramian_trace, reachability_gramian
-from .lpreach import LpSpec, cloud_to_csv, costate_grid, inner_approx, sample_reach
+from .lpreach import LpSpec, cloud_to_csv, costate_grid, inner_approx, sample_reach, simpson_weights
 from .lti import LtiSystem
 
-__all__ = ["RunConfig", "run", "main"]
-
-TASKS = ("boundary", "gramian", "lp-sample", "inner-approx", "volume", "optimize")
+__all__ = ["TASKS", "run", "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-DEFAULT_GRID = {"magnitudes": [5.0, 10.0, 20.0, 50.0, 100.0], "directions_per_shell": 302}
+_REQUIRED = object()
 
 
-@dataclass
-class RunConfig:
-    """Validated run request: one task, one system source, one output dir."""
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
-    task: str
-    system: dict
-    params: dict
-    out_dir: str = "reachkit-out"
-    seed: int = 0
 
-    @classmethod
-    def from_dict(cls, raw: dict, task_override: str | None = None) -> "RunConfig":
+def _is_numeric(value) -> bool:
+    if isinstance(value, list):
+        return all(_is_numeric(v) for v in value)
+    return _is_number(value)
+
+
+class _Section:
+    """One JSON object of a config; each getter checks the JSON type it reads."""
+
+    def __init__(self, raw, path: str):
         if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        task_section = raw.get("task")
-        if not isinstance(task_section, dict):
-            raise ConfigError("config needs a 'task' object")
-        params = dict(task_section)
-        name = params.pop("name", None)
-        if task_override is not None:
-            if name is not None and name != task_override:
-                raise ConfigError(
-                    f"config task name {name!r} does not match requested task {task_override!r}"
-                )
-            name = task_override
-        if name not in TASKS:
-            raise ConfigError(f"unknown task {name!r}; expected one of {TASKS}")
-        system = raw.get("system")
-        if not isinstance(system, dict):
-            raise ConfigError("config needs a 'system' object")
-        _validate_system_section(system)
-        _validate_task_params(name, params)
-        out_dir = raw.get("out_dir", "reachkit-out")
-        seed = int(raw.get("seed", 0))
-        return cls(task=name, system=system, params=params, out_dir=out_dir, seed=seed)
+            raise ConfigError(f"{path} must be an object")
+        self.raw = raw
+        self.path = path
 
+    def value(self, key, default=_REQUIRED):
+        if key in self.raw:
+            return self.raw[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"{self.path} needs {key!r}")
+        return default
 
-def _validate_system_section(system: dict) -> None:
-    if "A" in system or "B" in system:
-        if "A" not in system or "B" not in system:
-            raise ConfigError("inline system needs both 'A' and 'B'")
-        try:
-            LtiSystem(system["A"], system["B"])
-        except Exception as exc:
-            raise ConfigError(f"invalid inline system: {exc}") from exc
-    elif system.get("model") == "longitudinal":
-        design = system.get("design")
-        if not isinstance(design, dict) or "b" not in design or "c_bar" not in design:
-            raise ConfigError("longitudinal model needs design.b and design.c_bar")
-    else:
-        raise ConfigError("system must give inline A/B or model: 'longitudinal'")
+    def number(self, key, default=_REQUIRED, positive=False) -> float:
+        value = self.value(key, default)
+        if not _is_number(value) or (positive and value <= 0):
+            kind = "a positive" if positive else "a finite"
+            raise ConfigError(f"{self.path}.{key} must be {kind} number, got {value!r}")
+        return float(value)
 
+    def integer(self, key, default=_REQUIRED, low=None) -> int:
+        value = self.value(key, default)
+        if type(value) is not int or (low is not None and value < low):
+            bound = "" if low is None else f" >= {low}"
+            raise ConfigError(f"{self.path}.{key} must be an integer{bound}, got {value!r}")
+        return value
 
-_REQUIRED_PARAMS = {
-    "boundary": ("T", "bounds"),
-    "gramian": ("T",),
-    "lp-sample": ("T", "p"),
-    "inner-approx": ("T", "p"),
-    "volume": ("T", "p"),
-    "optimize": ("constraint",),
-}
+    def array(self, key, default=_REQUIRED) -> np.ndarray:
+        value = self.value(key, default)
+        if not _is_numeric(value):
+            raise ConfigError(f"{self.path}.{key} must be a number or lists of numbers")
+        return np.array(value, dtype=float)
 
+    def section(self, key, default=_REQUIRED) -> "_Section":
+        return _Section(self.value(key, default), f"{self.path}.{key}")
 
-def _validate_task_params(name: str, params: dict) -> None:
-    for key in _REQUIRED_PARAMS[name]:
-        if key not in params:
-            raise ConfigError(f"task {name!r} requires parameter {key!r}")
-    if "T" in params and not (isinstance(params["T"], (int, float)) and params["T"] > 0):
-        raise ConfigError("T must be a positive number")
-    if "budget" in params and not params["budget"] > 0:
-        raise ConfigError("budget must be positive")
-    if "p" in params:
-        p = params["p"]
-        if not (isinstance(p, int) and p >= 2 and p % 2 == 0):
-            raise ConfigError(f"p must be an even integer >= 2, got {p!r}")
-    if "n_eta" in params and int(params["n_eta"]) < 2:
-        raise ConfigError("n_eta must be >= 2")
-    if "grid" in params:
-        grid = params["grid"]
-        if not isinstance(grid, dict):
-            raise ConfigError("grid must be an object")
-        mags = grid.get("magnitudes", DEFAULT_GRID["magnitudes"])
-        if any(m <= 0 for m in mags) or any(b < a for a, b in zip(mags, mags[1:])):
-            raise ConfigError("grid magnitudes must be positive and ascending")
-    if name == "optimize":
-        constraint = params["constraint"]
-        if not isinstance(constraint, dict) or constraint.get("type") not in (
-            "gramian_trace",
-            "lp_volume",
-        ):
-            raise ConfigError(
-                "optimize constraint must set type to 'gramian_trace' or 'lp_volume'"
-            )
-        options = params.get("options", {})
-        known = set(OptimizeOptions.__dataclass_fields__)
-        unknown = set(options) - known
+    def only(self, known) -> None:
+        unknown = sorted(set(self.raw) - set(known))
         if unknown:
-            raise ConfigError(f"unknown optimizer options: {sorted(unknown)}")
+            raise ConfigError(f"unknown keys in {self.path}: {unknown}")
 
 
-def _build_trim(section) -> TrimPoint:
-    if section in (None, "default"):
+def _parse_trim(raw) -> TrimPoint:
+    if raw in (None, "default"):
         return default_trim_point()
-    if not isinstance(section, dict):
-        raise ConfigError("trim must be 'default' or an object")
-    if "airspeed_knots" in section:
+    trim = _Section(raw, "system.trim")
+    q0 = trim.number("q0", 0.0)
+    if "airspeed_knots" in trim.raw:
         return TrimPoint.from_flight_units(
-            alpha_deg=section.get("alpha_deg", 0.0),
-            airspeed_knots=section["airspeed_knots"],
-            altitude_feet=section.get("altitude_feet", 0.0),
-            q0=section.get("q0", 0.0),
-            gamma_deg=section.get("gamma_deg", 0.0),
+            alpha_deg=trim.number("alpha_deg", 0.0),
+            airspeed_knots=trim.number("airspeed_knots"),
+            altitude_feet=trim.number("altitude_feet", 0.0),
+            q0=q0,
+            gamma_deg=trim.number("gamma_deg", 0.0),
         )
     return TrimPoint(
-        alpha0=section.get("alpha0", 0.0),
-        V0=section["V0"],
-        h0=section.get("h0", 0.0),
-        q0=section.get("q0", 0.0),
-        gamma0=section.get("gamma0", 0.0),
+        alpha0=trim.number("alpha0", 0.0),
+        V0=trim.number("V0"),
+        h0=trim.number("h0", 0.0),
+        q0=q0,
+        gamma0=trim.number("gamma0", 0.0),
     )
 
 
-def _build_derivatives(section):
-    if section in (None, "default"):
+def _parse_derivatives(raw):
+    if raw in (None, "default"):
         return default_derivative_table()
-    if not isinstance(section, dict):
-        raise ConfigError("derivatives must be 'default' or an object")
-    try:
-        return StabilityDerivatives(**section)
-    except TypeError as exc:
-        raise ConfigError(f"bad derivative table: {exc}") from exc
+    table = _Section(raw, "system.derivatives")
+    names = [f.name for f in fields(StabilityDerivatives)]
+    table.only(names)
+    return StabilityDerivatives(**{name: table.number(name) for name in names})
 
 
-def _build_system(section: dict) -> LtiSystem:
-    if "A" in section:
-        return LtiSystem(section["A"], section["B"])
-    dv = DesignVariables(section["design"])
-    trim = _build_trim(section.get("trim"))
-    table = _build_derivatives(section.get("derivatives"))
-    return longitudinal_model(dv, trim, table)
+def _parse_longitudinal(system: _Section):
+    """The longitudinal model at the configured design, its trim and table."""
+    model = system.value("model", None)
+    if model != "longitudinal":
+        raise ConfigError(f"system needs inline A and B or model 'longitudinal', got {model!r}")
+    design = system.section("design")
+    dv = DesignVariables({"b": design.number("b"), "c_bar": design.number("c_bar")})
+    trim = _parse_trim(system.value("trim", None))
+    table = _parse_derivatives(system.value("derivatives", None))
+    return longitudinal_model(dv, trim, table), trim, table
+
+
+def _parse_system(system: _Section) -> LtiSystem:
+    if "A" in system.raw or "B" in system.raw:
+        return LtiSystem(system.array("A"), system.array("B"))
+    return _parse_longitudinal(system)[0]
+
+
+def _parse_sweep(section: _Section, n: int, T: float, p=_REQUIRED, nodes=2001,
+                 magnitudes=(5.0, 10.0, 20.0, 50.0, 100.0), directions=302):
+    """LpSpec, costate grid and Simpson node count of one costate sweep."""
+    spec = LpSpec(p=section.integer("p", p), T=T, budget=section.number("budget", 1.0))
+    grid = section.section("grid", {})
+    costates = costate_grid(n, grid.array("magnitudes", list(magnitudes)),
+                            grid.integer("directions_per_shell", directions))
+    nodes = section.integer("nodes", nodes)
+    simpson_weights(nodes, T)  # rejects even and too-small node counts
+    return spec, costates, nodes
 
 
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _bounds_from(params) -> ControlBounds:
-    section = params["bounds"]
-    if isinstance(section, (int, float)):
-        return ControlBounds.symmetric(section)
-    return ControlBounds(lower=section["lower"], upper=section["upper"])
+def _parse_boundary(system: _Section, task: _Section):
+    sys_ = _parse_system(system)
+    if sys_.m != 1:
+        raise ConfigError(f"boundary needs a single-input system, got m={sys_.m}")
+    raw = task.value("bounds")
+    if _is_number(raw):
+        bounds = ControlBounds.symmetric(raw)
+    else:
+        section = _Section(raw, "task.bounds")
+        bounds = ControlBounds(lower=section.array("lower"), upper=section.array("upper"))
+    if bounds.m != 1:
+        raise ConfigError("task.bounds must be scalar for a single-input system")
+    T = task.number("T", positive=True)
+    n_eta = task.integer("n_eta", 400, low=2)
+
+    def compute():
+        curve = boundary_curve(sys_, bounds, T=T, n_eta=n_eta)
+        buf = io.StringIO()
+        boundary_curve_to_csv(curve, buf)
+        artifacts = {"boundary.csv": buf.getvalue().encode()}
+        if curve.n == 2:
+            payload = polytope_to_json(reach_hull_planar(curve))
+            payload["exact"] = curve.exact
+            artifacts["hull.json"] = _json_bytes(payload)
+        return artifacts
+
+    return compute
 
 
-def _grid_from(params, n: int) -> np.ndarray:
-    section = params.get("grid", DEFAULT_GRID)
-    return costate_grid(
-        n,
-        section.get("magnitudes", DEFAULT_GRID["magnitudes"]),
-        int(section.get("directions_per_shell", DEFAULT_GRID["directions_per_shell"])),
-    )
+def _parse_gramian(system: _Section, task: _Section):
+    sys_ = _parse_system(system)
+    T = task.number("T", positive=True)
+    budget = task.number("budget", 1.0, positive=True)
+
+    def compute():
+        g = reachability_gramian(sys_, T)
+        payload = ellipsoid_to_json(g, budget)
+        payload["trace"] = gramian_trace(g)
+        payload["eigenvalues"] = g.eigenvalues.tolist()
+        payload["W"] = g.W.tolist()
+        return {"gramian.json": _json_bytes(payload)}
+
+    return compute
 
 
-def _lp_cloud(config: RunConfig, inner: bool):
-    sys_ = _build_system(config.system)
-    params = config.params
-    spec = LpSpec(p=int(params["p"]), T=float(params["T"]), budget=float(params.get("budget", 1.0)))
-    grid = _grid_from(params, sys_.n)
-    nodes = int(params.get("nodes", 2001))
-    fn = inner_approx if inner else sample_reach
-    return fn(sys_, spec, grid, nodes=nodes)
+def _lp_args(system: _Section, task: _Section):
+    sys_ = _parse_system(system)
+    return (sys_, *_parse_sweep(task, sys_.n, task.number("T")))
 
 
-def _task_boundary(config: RunConfig) -> dict:
-    sys_ = _build_system(config.system)
-    params = config.params
-    curve = boundary_curve(
-        sys_,
-        _bounds_from(params),
-        T=float(params["T"]),
-        n_eta=int(params.get("n_eta", 400)),
-    )
-    buf = io.StringIO()
-    boundary_curve_to_csv(curve, buf)
-    artifacts = {"boundary.csv": buf.getvalue().encode()}
-    if curve.n == 2:
-        hull = reach_hull_planar(curve)
-        payload = polytope_to_json(hull)
-        payload["exact"] = curve.exact
-        artifacts["hull.json"] = _json_bytes(payload)
-    return artifacts
-
-
-def _task_gramian(config: RunConfig) -> dict:
-    sys_ = _build_system(config.system)
-    params = config.params
-    g = reachability_gramian(sys_, float(params["T"]))
-    budget = float(params.get("budget", 1.0))
-    payload = ellipsoid_to_json(g, budget)
-    payload["trace"] = gramian_trace(g)
-    payload["eigenvalues"] = g.eigenvalues.tolist()
-    payload["W"] = g.W.tolist()
-    return {"gramian.json": _json_bytes(payload)}
-
-
-def _task_lp_sample(config: RunConfig, inner: bool) -> dict:
-    cloud = _lp_cloud(config, inner)
+def _cloud_artifacts(cloud) -> dict:
     buf = io.StringIO()
     cloud_to_csv(cloud, buf)
     artifacts = {"cloud.csv": buf.getvalue().encode()}
@@ -259,14 +229,51 @@ def _task_lp_sample(config: RunConfig, inner: bool) -> dict:
     return artifacts
 
 
-def _task_volume(config: RunConfig) -> dict:
-    cloud = _lp_cloud(config, inner=False)
-    if cloud.hull is None:
-        raise ValueError("no reachable endpoints: volume undefined")
-    return {"hull.json": _json_bytes(polytope_to_json(cloud.hull))}
+def _parse_lp_sample(system: _Section, task: _Section):
+    args = _lp_args(system, task)
+    return lambda: _cloud_artifacts(sample_reach(*args))
 
 
-def _opt_result_json(result: OptResult) -> dict:
+def _parse_inner_approx(system: _Section, task: _Section):
+    args = _lp_args(system, task)
+    return lambda: _cloud_artifacts(inner_approx(*args))
+
+
+def _parse_volume(system: _Section, task: _Section):
+    args = _lp_args(system, task)
+
+    def compute():
+        cloud = sample_reach(*args)
+        if cloud.hull is None:
+            raise ValueError("no reachable endpoints: volume undefined")
+        return {"hull.json": _json_bytes(polytope_to_json(cloud.hull))}
+
+    return compute
+
+
+def _parse_constraint(constraint: _Section, n: int):
+    kind = constraint.value("type", None)
+    if kind not in ("gramian_trace", "lp_volume"):
+        raise ConfigError("optimize constraint must set type to 'gramian_trace' or 'lp_volume'")
+    factor = constraint.number("factor", 1.1)
+    horizon = constraint.number("horizon", 1.0)
+    if kind == "gramian_trace":
+        return GramianTraceConstraint(factor=factor, horizon=horizon)
+    spec, costates, nodes = _parse_sweep(
+        constraint, n, horizon, p=6, nodes=501, magnitudes=(5.0, 20.0, 50.0, 100.0), directions=128
+    )
+    projection = constraint.value("projection", None)
+    if projection is not None and not (
+        isinstance(projection, list) and 2 <= len(projection) <= 4
+        and all(type(i) is int and 0 <= i < n for i in projection)
+    ):
+        raise ConfigError(f"{constraint.path}.projection must list 2 to 4 state indices below {n}")
+    return LpVolumeConstraint(
+        spec, factor=factor, grid=costates, nodes=nodes, projection=projection
+    )
+
+
+def _opt_result_json(result) -> dict:
     return {
         "converged": result.converged,
         "iterations": result.iterations,
@@ -274,97 +281,94 @@ def _opt_result_json(result: OptResult) -> dict:
         "optimum": result.optimum.as_dict(),
         "constraint_residuals": result.constraint_residuals.tolist(),
         "history": [
-            {
-                "variables": dv.as_dict(),
-                "objective": obj,
-                "residuals": np.asarray(res).tolist(),
-            }
+            {"variables": dv.as_dict(), "objective": obj, "residuals": np.asarray(res).tolist()}
             for dv, obj, res in result.history
         ],
     }
 
 
-def _task_optimize(config: RunConfig) -> dict:
-    system = config.system
-    if system.get("model") != "longitudinal":
+def _parse_optimize(system: _Section, task: _Section):
+    if "A" in system.raw or "B" in system.raw:
         raise ConfigError("optimize currently supports the longitudinal model only")
-    params = config.params
-    spec_c = params["constraint"]
-    if spec_c["type"] == "gramian_trace":
-        constraint = GramianTraceConstraint(
-            factor=float(spec_c.get("factor", 1.1)),
-            horizon=float(spec_c.get("horizon", 1.0)),
-        )
-    else:
-        lp = LpSpec(
-            p=int(spec_c.get("p", 6)),
-            T=float(spec_c.get("horizon", 1.0)),
-            budget=float(spec_c.get("budget", 1.0)),
-        )
-        grid_cfg = spec_c.get("grid", {})
-        constraint = LpVolumeConstraint(
-            spec=lp,
-            factor=float(spec_c.get("factor", 1.1)),
-            magnitudes=grid_cfg.get("magnitudes", (5.0, 20.0, 50.0, 100.0)),
-            directions_per_shell=int(grid_cfg.get("directions_per_shell", 128)),
-            nodes=int(spec_c.get("nodes", 501)),
-            projection=spec_c.get("projection"),
-        )
-    trim = _build_trim(system.get("trim"))
-    table = _build_derivatives(system.get("derivatives"))
-    box_factors = tuple(params.get("box_factors", (0.5, 1.5)))
+    model, trim, table = _parse_longitudinal(system)
+    if not isinstance(table, ScalableDerivativeTable):
+        raise ConfigError("optimize needs the default (wing-scaled) derivative table")
+    constraint = _parse_constraint(task.section("constraint"), model.n)
+    box_factors = task.array("box_factors", [0.5, 1.5])
+    if box_factors.shape != (2,):
+        raise ConfigError("task.box_factors must hold two numbers")
     problem = surrogate_wing_problem(
-        constraint, trim=trim, table=table, box_factors=box_factors
+        constraint, trim=trim, table=table, box_factors=tuple(box_factors.tolist())
     )
-    opt_cfg = params.get("options", {})
-    options = OptimizeOptions(**opt_cfg) if opt_cfg else None
-    result = optimize(problem, options)
-    return {"optresult.json": _json_bytes(_opt_result_json(result))}
+    section = task.section("options", {})
+    section.only(f.name for f in fields(OptimizeOptions))
+    options = OptimizeOptions(**{
+        f.name: (section.integer if type(f.default) is int else section.number)(f.name, f.default)
+        for f in fields(OptimizeOptions)
+    })
+    return lambda: {"optresult.json": _json_bytes(_opt_result_json(optimize(problem, options)))}
 
 
-def _execute(config: RunConfig) -> dict:
-    if config.task == "boundary":
-        return _task_boundary(config)
-    if config.task == "gramian":
-        return _task_gramian(config)
-    if config.task == "lp-sample":
-        return _task_lp_sample(config, inner=False)
-    if config.task == "inner-approx":
-        return _task_lp_sample(config, inner=True)
-    if config.task == "volume":
-        return _task_volume(config)
-    return _task_optimize(config)
+TASKS = {
+    "boundary": _parse_boundary,
+    "gramian": _parse_gramian,
+    "lp-sample": _parse_lp_sample,
+    "inner-approx": _parse_inner_approx,
+    "volume": _parse_volume,
+    "optimize": _parse_optimize,
+}
 
 
-def run(config: RunConfig) -> int:
-    """Execute one task and write its artifacts plus manifest.json.
+def _parse(raw, task_override: str | None):
+    """Task name, compute step, output directory and seed of a config."""
+    root = _Section(raw, "config")
+    task = root.section("task")
+    name = task.value("name", task_override)
+    if task_override not in (None, name):
+        raise ConfigError(f"config task name {name!r} does not match requested task "
+                          f"{task_override!r}")
+    if not isinstance(name, str) or name not in TASKS:
+        raise ConfigError(f"unknown task {name!r}; expected one of {', '.join(TASKS)}")
+    out_dir = root.value("out_dir", "reachkit-out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"config.out_dir must be a string, got {out_dir!r}")
+    seed = root.integer("seed", 0)
+    return name, TASKS[name](root.section("system"), task), out_dir, seed
 
-    All artifact bytes are rendered before anything touches disk, so a
-    numeric failure (exit 3) leaves no partial output. Data files are
-    byte-identical across reruns of the same config and seed; only the
-    manifest carries a timestamp.
+
+def run(raw, task: str | None = None, out_dir: str | None = None, seed: int | None = None) -> int:
+    """Parse a config, compute its task, and write the artifacts plus
+    manifest.json; out_dir and seed override the config's values.
+
+    Any error while parsing returns 2 and any error while computing 3.
+    All artifact bytes are rendered before anything touches disk, so
+    neither leaves output behind. Data files are byte-identical across
+    reruns of the same config and seed; only the manifest carries a
+    timestamp.
     """
     try:
-        artifacts = _execute(config)
-    except ConfigError as exc:
+        name, compute, config_out, config_seed = _parse(raw, task)
+    except Exception as exc:
         print(f"reachkit: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        artifacts = compute()
     except Exception as exc:
         print(f"reachkit: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    out = Path(config.out_dir)
+    out = Path(config_out if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for name in sorted(artifacts):
-        data = artifacts[name]
-        (out / name).write_bytes(data)
+    for file_name in sorted(artifacts):
+        data = artifacts[file_name]
+        (out / file_name).write_bytes(data)
         entries.append(
-            {"name": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+            {"name": file_name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
         )
     manifest = {
-        "task": config.task,
-        "seed": config.seed,
+        "task": name,
+        "seed": config_seed if seed is None else seed,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "files": entries,
     }
@@ -374,10 +378,9 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="reachkit",
-        description="Reachable-set computations for LTI systems.",
+        prog="reachkit", description="Reachable-set computations for LTI systems."
     )
-    parser.add_argument("task", choices=TASKS)
+    parser.add_argument("task", choices=list(TASKS))
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="seed recorded in the manifest")
@@ -385,24 +388,10 @@ def main(argv=None) -> int:
 
     try:
         raw = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        print(f"reachkit: config file not found: {args.config}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"reachkit: cannot read config {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
-        print(f"reachkit: config is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        config = RunConfig.from_dict(raw, task_override=args.task)
-    except ConfigError as exc:
-        print(f"reachkit: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.seed is not None:
-        config.seed = args.seed
-    return run(config)
+    return run(raw, args.task, args.out, args.seed)
 
 
 if __name__ == "__main__":

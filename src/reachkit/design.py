@@ -34,8 +34,6 @@ __all__ = [
     "default_trim_point",
     "default_derivative_table",
     "surrogate_wing_problem",
-    "constraint_gramian_trace",
-    "constraint_lp_volume",
     "central_difference",
     "optimize",
 ]
@@ -261,6 +259,8 @@ class GramianTraceConstraint(Constraint):
     def __init__(self, factor: float = 1.1, horizon: float = 1.0):
         if factor <= 0:
             raise ValueError(f"factor must be positive, got {factor}")
+        if horizon <= 0:
+            raise ValueError(f"horizon must be positive, got {horizon}")
         self.factor = factor
         self.horizon = horizon
 
@@ -421,22 +421,6 @@ class DesignProblem:
         return self.model(dv, self.trim)
 
 
-def constraint_gramian_trace(problem: DesignProblem, dv) -> float:
-    """Residual of the problem's Gramian-trace constraint at dv (>= 0 ok)."""
-    for c in problem.constraints:
-        if isinstance(c, GramianTraceConstraint):
-            return c.residual(problem, dv)
-    raise ValueError("problem has no GramianTraceConstraint")
-
-
-def constraint_lp_volume(problem: DesignProblem, dv) -> float:
-    """Residual of the problem's reach-volume constraint at dv (>= 0 ok)."""
-    for c in problem.constraints:
-        if isinstance(c, LpVolumeConstraint):
-            return c.residual(problem, dv)
-    raise ValueError("problem has no LpVolumeConstraint")
-
-
 def surrogate_wing_problem(
     constraint: Constraint,
     trim: TrimPoint | None = None,
@@ -480,6 +464,13 @@ class OptimizeOptions:
     mu_growth: float = 10.0
     mu_max: float = 1e10
 
+    def __post_init__(self):
+        if min(self.max_iters, self.stall_iters, self.inner_maxiter) < 0:
+            raise ValueError("iteration counts must be >= 0")
+        if not (self.fd_step > 0 and self.mu0 > 0 and 1 <= self.mu_growth
+                and self.mu0 <= self.mu_max):
+            raise ValueError("need fd_step > 0, mu0 > 0, mu_growth >= 1 and mu_max >= mu0")
+
 
 @dataclass
 class OptResult:
@@ -522,9 +513,10 @@ def optimize(problem: DesignProblem, options: OptimizeOptions | None = None) -> 
     finite differences supply every gradient. Stops when the constraint
     violation is within feas_tol and either the projected KKT residual is
     within kkt_tol or the objective has stalled for stall_iters outer
-    iterations. Model-build failures at a point are logged and replaced
-    by a large penalty. Fully deterministic: rerunning reproduces the
-    iterate history exactly.
+    iterations. Model-build failures at a point (ValueError,
+    ArithmeticError, LinAlgError) are logged and replaced by a large
+    penalty; any other exception propagates. Fully deterministic:
+    rerunning reproduces the iterate history exactly.
     """
     opts = options or OptimizeOptions()
     names = problem.names
@@ -544,7 +536,8 @@ def optimize(problem: DesignProblem, options: OptimizeOptions | None = None) -> 
             try:
                 f = float(problem.objective(dv))
                 g = np.array([c.residual(problem, dv) for c in problem.constraints])
-            except Exception as exc:  # model failed to build: reject with penalty
+            except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+                # the model failed to build or evaluate here: reject with a penalty
                 logger.warning("evaluation failed at %r: %s", dv, exc)
                 f = EVALUATION_PENALTY
                 g = -EVALUATION_PENALTY * np.ones(ncons)

@@ -9,7 +9,7 @@ from scipy.spatial import QhullError as _QhullError
 
 from .errors import DegenerateGeometryError, UnsupportedDimensionError
 
-__all__ = ["Polytope", "convex_hull", "volume", "contains", "polytope_to_json"]
+__all__ = ["Polytope", "convex_hull", "contains", "polytope_to_json"]
 
 
 @dataclass
@@ -173,11 +173,6 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
         volume=vol,
         degenerate=False,
     )
-
-
-def volume(poly: Polytope) -> float:
-    """Euclidean volume (area for dim 2); 0 for degenerate polytopes."""
-    return poly.volume
 
 
 def contains(poly: Polytope, x, tol: float = 1e-9) -> bool:

@@ -2,11 +2,12 @@
 and minimum-energy point-to-point control.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnreachableTargetError
+from .errors import NumericRangeError, UnreachableTargetError
 from .lti import LtiSystem, expm_grid, matrix_exponential
 
 __all__ = [
@@ -74,18 +75,31 @@ class MinEnergyControl:
 def reachability_gramian(sys: LtiSystem, T: float) -> Gramian:
     """Gramian W = integral of e^{A(T-s)} B B^T e^{A^T(T-s)} over [0, T].
 
-    Evaluated in closed form from the 2n-by-2n block exponential of
-    [[-A, B B^T], [0, A^T]] and symmetrized before eigendecomposition.
+    The block exponential of [[-A, B B^T], [0, A^T]] gives W(h) in closed
+    form on a short step h = T / 2^k with ||A||_1 h <= 1, where e^{-A h}
+    cannot swamp the result. Doubling W(2t) = W(t) + e^{A t} W(t) e^{A^T t}
+    then reaches T; every step adds a PSD term, so nothing cancels on stiff
+    or unstable spectra. The result is symmetrized before the
+    eigendecomposition.
     """
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got T={T}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got T={T}")
     n = sys.n
+    reach = float(np.abs(sys.A).sum(axis=0).max()) * T
+    doublings = math.ceil(math.log2(reach)) if reach > 1.0 else 0
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -sys.A
     block[:n, n:] = sys.B @ sys.B.T
     block[n:, n:] = sys.A.T
-    E = matrix_exponential(block, T)
-    W = E[n:, n:].T @ E[:n, n:]
+    E = matrix_exponential(block, T / 2**doublings)
+    step = E[n:, n:].T
+    W = step @ E[:n, n:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(doublings):
+            W = W + step @ W @ step.T
+            step = step @ step
+    if not np.all(np.isfinite(W)):
+        raise NumericRangeError(f"Gramian overflowed for T = {T}")
     W = 0.5 * (W + W.T)
     eigenvalues, eigenvectors = np.linalg.eigh(W)
     # zero out roundoff-scale negatives; anything larger stays visible

@@ -10,7 +10,6 @@ filter for endpoints guaranteed to be reachable.
 
 import csv
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.stats import norm as _gaussian
@@ -153,24 +152,17 @@ def lp_optimal_control(
     )
 
 
-@lru_cache(maxsize=16)
-def _quadrature_kernels(a_bytes: bytes, b_bytes: bytes, n: int, m: int, T: float, nodes: int):
-    """Shared Simpson-node matrices: -B^T e^{-A^T t_j} and e^{A(T-t_j)} B."""
-    A = np.frombuffer(a_bytes, dtype=float).reshape(n, n)
-    B = np.frombuffer(b_bytes, dtype=float).reshape(n, m)
-    pullback = expm_grid(-A.T, 0.0, T, nodes, left=-B.T)
-    pushforward = expm_grid(A, T, 0.0, nodes, right=B)
-    weights = simpson_weights(nodes, T)
-    pullback.flags.writeable = False
-    pushforward.flags.writeable = False
-    weights.flags.writeable = False
-    return pullback, pushforward, weights
+def _quadrature_kernels(sys: LtiSystem, T: float, nodes: int):
+    """Simpson-node matrices -B^T e^{-A^T t_j} and e^{A(T-t_j)} B, and the weights."""
+    pullback = expm_grid(-sys.A.T, 0.0, T, nodes, left=-sys.B.T)
+    pushforward = expm_grid(sys.A, T, 0.0, nodes, right=sys.B)
+    return pullback, pushforward, simpson_weights(nodes, T)
 
 
-def _kernels(sys: LtiSystem, T: float, nodes: int):
-    return _quadrature_kernels(
-        sys.A.tobytes(), sys.B.tobytes(), sys.n, sys.m, float(T), int(nodes)
-    )
+def _radius(pullback: np.ndarray, weights: np.ndarray, spec: LpSpec) -> float:
+    # the pullback holds -(e^{-A t_j} B)^T, whose entrywise p-norm is the same
+    vec_norms = np.sum(np.abs(pullback) ** spec.p, axis=(1, 2)) ** (1.0 / spec.p)
+    return 1.0 / (pullback.shape[1] * float(weights @ vec_norms**spec.q))
 
 
 def prop2_bound(sys: LtiSystem, spec: LpSpec, nodes: int = DEFAULT_NODES) -> float:
@@ -180,16 +172,46 @@ def prop2_bound(sys: LtiSystem, spec: LpSpec, nodes: int = DEFAULT_NODES) -> flo
     control whose Lp cost stays within the budget. R is the reciprocal of
     m times the Simpson integral of ||vec(e^{-A tau} B)||_p^q over [0, T].
     """
-    stacked = expm_grid(-sys.A, 0.0, spec.T, nodes, right=sys.B).reshape(nodes, -1)
-    vec_norms = np.sum(np.abs(stacked) ** spec.p, axis=1) ** (1.0 / spec.p)
-    integral = float(simpson_weights(nodes, spec.T) @ vec_norms**spec.q)
-    return 1.0 / (sys.m * integral)
+    pullback = expm_grid(-sys.A.T, 0.0, spec.T, nodes, left=-sys.B.T)
+    return _radius(pullback, simpson_weights(nodes, spec.T), spec)
 
 
 def _build_hull(endpoints: np.ndarray, n: int) -> Polytope | None:
     if len(endpoints) == 0 or not 2 <= n <= 4:
         return None
     return convex_hull(endpoints, dim=n)
+
+
+def _certify(sys: LtiSystem, spec: LpSpec, grid, nodes: int):
+    """The checked grid, its quadrature kernels, and which costates the
+    norm-radius filter certifies."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    if grid.size == 0:
+        raise ValueError("costate grid must be nonempty")
+    if grid.shape[1] != sys.n:
+        raise DimensionError(f"grid rows must have dimension {sys.n}, got {grid.shape[1]}")
+    kernels = _quadrature_kernels(sys, spec.T, nodes)
+    lam_norms = np.sum(np.abs(grid) ** spec.q, axis=1)
+    return grid, kernels, lam_norms <= _radius(kernels[0], kernels[2], spec) * spec.budget**spec.p
+
+
+def _sweep(sys: LtiSystem, spec: LpSpec, grid, kernels, certified) -> LpReachCloud:
+    pullback, pushforward, weights = kernels
+    controls = _signed_root(np.einsum("jmn,ln->ljm", pullback, grid), spec.p)
+    endpoints = np.einsum("j,jnm,ljm->ln", weights, pushforward, controls)
+    costs = np.einsum("j,ljm->l", weights, np.abs(controls) ** spec.p)
+    reachable = costs <= spec.budget**spec.p + REACHABLE_SLACK
+    samples = [
+        CostateSample(
+            lambda0=grid[i],
+            endpoint=endpoints[i],
+            cost_p=float(costs[i]),
+            reachable=bool(reachable[i]),
+            within_prop2_bound=bool(certified[i]),
+        )
+        for i in range(len(grid))
+    ]
+    return LpReachCloud(samples=samples, spec=spec, hull=_build_hull(endpoints[reachable], sys.n))
 
 
 def sample_reach(sys: LtiSystem, spec: LpSpec, grid, nodes: int = DEFAULT_NODES) -> LpReachCloud:
@@ -199,30 +221,7 @@ def sample_reach(sys: LtiSystem, spec: LpSpec, grid, nodes: int = DEFAULT_NODES)
     closed-form control, vectorized across the whole grid. The hull is
     built over the budget-feasible endpoints only.
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("costate grid must be nonempty")
-    if grid.shape[1] != sys.n:
-        raise DimensionError(f"grid rows must have dimension {sys.n}, got {grid.shape[1]}")
-    pullback, pushforward, weights = _kernels(sys, spec.T, nodes)
-    controls = _signed_root(np.einsum("jmn,ln->ljm", pullback, grid), spec.p)
-    endpoints = np.einsum("j,jnm,ljm->ln", weights, pushforward, controls)
-    costs = np.einsum("j,ljm->l", weights, np.abs(controls) ** spec.p)
-    radius = prop2_bound(sys, spec, nodes)
-    budget_p = spec.budget**spec.p
-    lam_norms = np.sum(np.abs(grid) ** spec.q, axis=1)
-    samples = [
-        CostateSample(
-            lambda0=grid[i],
-            endpoint=endpoints[i],
-            cost_p=float(costs[i]),
-            reachable=bool(costs[i] <= budget_p + REACHABLE_SLACK),
-            within_prop2_bound=bool(lam_norms[i] <= radius * budget_p),
-        )
-        for i in range(len(grid))
-    ]
-    reachable_pts = endpoints[[s.reachable for s in samples]]
-    return LpReachCloud(samples=samples, spec=spec, hull=_build_hull(reachable_pts, sys.n))
+    return _sweep(sys, spec, *_certify(sys, spec, grid, nodes))
 
 
 def inner_approx(sys: LtiSystem, spec: LpSpec, grid, nodes: int = DEFAULT_NODES) -> LpReachCloud:
@@ -230,17 +229,13 @@ def inner_approx(sys: LtiSystem, spec: LpSpec, grid, nodes: int = DEFAULT_NODES)
 
     Every surviving sample is guaranteed budget-feasible, so the resulting
     cloud is an inner approximation of the reachable set. An empty filter
-    result is valid and produces an empty cloud.
+    result is valid and produces an empty cloud. The quadrature kernels
+    are built once and serve both the filter and the sweep.
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("costate grid must be nonempty")
-    radius = prop2_bound(sys, spec, nodes)
-    lam_norms = np.sum(np.abs(grid) ** spec.q, axis=1)
-    kept = grid[lam_norms <= radius * spec.budget**spec.p]
-    if len(kept) == 0:
+    grid, kernels, certified = _certify(sys, spec, grid, nodes)
+    if not certified.any():
         return LpReachCloud(samples=[], spec=spec, hull=None)
-    return sample_reach(sys, spec, kept, nodes)
+    return _sweep(sys, spec, grid[certified], kernels, certified[certified])
 
 
 def _sphere_directions(n: int, count: int) -> np.ndarray:
@@ -266,8 +261,8 @@ def costate_grid(n: int, magnitudes, directions_per_shell: int) -> np.ndarray:
     duplicates collapse to their first occurrence.
     """
     magnitudes = np.atleast_1d(np.asarray(magnitudes, dtype=float))
-    if np.any(magnitudes <= 0) or np.any(np.diff(magnitudes) < 0):
-        raise ValueError("magnitudes must be positive and ascending")
+    if magnitudes.size == 0 or np.any(magnitudes <= 0) or np.any(np.diff(magnitudes) < 0):
+        raise ValueError("magnitudes must be nonempty, positive and ascending")
     if directions_per_shell < 1:
         raise ValueError("directions_per_shell must be >= 1")
     dirs = _sphere_directions(n, directions_per_shell)

@@ -248,51 +248,34 @@ def simulate(sys: LtiSystem, u, T: float, steps: int) -> Trajectory:
         interior = interior[(interior > 0.0) & (interior < T)]
         grid = np.unique(np.concatenate([grid, interior]))
 
-    A, B = sys.A, sys.B
-
-    def eval_u(t):
-        return np.atleast_1d(np.asarray(control(t), dtype=float))
-
-    x = np.zeros(sys.n)
-    states = np.empty((len(grid), sys.n))
-    states[0] = x
-    steps_total = len(grid) - 1
+    hs = np.diff(grid)
     if piecewise:
         # constant drive per interval (grid is switch-aligned), sampled at
         # the midpoints in one vectorized call
         mids = 0.5 * (grid[:-1] + grid[1:])
-        useg = np.atleast_2d(np.asarray(control(mids), dtype=float))
-        if useg.shape != (steps_total, sys.m):
-            useg = useg.reshape(steps_total, sys.m)
-        drives = useg @ B.T
-        hs = np.diff(grid)
-        for k in range(steps_total):
-            h = hs[k]
-            bu = drives[k]
-            k1 = A @ x + bu
-            k2 = A @ (x + 0.5 * h * k1) + bu
-            k3 = A @ (x + 0.5 * h * k2) + bu
-            k4 = A @ (x + h * k3) + bu
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[k + 1] = x
-        controls = np.atleast_2d(np.asarray(control(grid), dtype=float))
-        if controls.shape != (len(grid), sys.m):
-            controls = controls.reshape(len(grid), sys.m)
+        useg = np.asarray(control(mids), dtype=float).reshape(len(mids), sys.m)
+        start = mid = end = useg @ sys.B.T
+        controls = np.asarray(control(grid), dtype=float).reshape(len(grid), sys.m)
     else:
-        for k in range(steps_total):
-            t = grid[k]
-            h = grid[k + 1] - t
-            u1 = eval_u(t)
-            u2 = eval_u(t + 0.5 * h)
-            u4 = eval_u(t + h)
-            bu2 = B @ u2
-            k1 = A @ x + B @ u1
-            k2 = A @ (x + 0.5 * h * k1) + bu2
-            k3 = A @ (x + 0.5 * h * k2) + bu2
-            k4 = A @ (x + h * k3) + B @ u4
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[k + 1] = x
+        def eval_u(t):
+            return np.atleast_1d(np.asarray(control(t), dtype=float))
+
         controls = np.stack([eval_u(t) for t in grid])
+        mid = np.stack([eval_u(t + 0.5 * h) for t, h in zip(grid[:-1], hs)]) @ sys.B.T
+        drives = controls @ sys.B.T
+        start, end = drives[:-1], drives[1:]
+
+    A = sys.A
+    x = np.zeros(sys.n)
+    states = np.empty((len(grid), sys.n))
+    states[0] = x
+    for k, h in enumerate(hs):
+        k1 = A @ x + start[k]
+        k2 = A @ (x + 0.5 * h * k1) + mid[k]
+        k3 = A @ (x + 0.5 * h * k2) + mid[k]
+        k4 = A @ (x + h * k3) + end[k]
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[k + 1] = x
     return Trajectory(times=grid, states=states, controls=controls)
 
 

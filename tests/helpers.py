@@ -102,6 +102,23 @@ def gramian_oracle(sys: LtiSystem, T: float, nodes: int = 100001) -> np.ndarray:
     return np.trapezoid(prods, times, axis=0)
 
 
+def modal_gramian(A: np.ndarray, B: np.ndarray, T: float) -> np.ndarray:
+    """W = int_0^T e^{As} B B^T e^{A^T s} ds from the eigenbasis of A.
+
+    With A = V diag(lam) V^{-1} and G = V^{-1} B B^T V^{-H}, entry (i, j) of
+    the modal integral is G_ij (e^{x T} - 1) / x for x = lam_i + conj(lam_j).
+    No matrix exponential is taken, so stiff spectra cost no accuracy.
+    """
+    lam, V = np.linalg.eig(np.asarray(A, dtype=float))
+    Vinv = np.linalg.inv(V)
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    G = Vinv @ B @ B.T @ Vinv.conj().T
+    x = np.add.outer(lam, lam.conj())
+    small = np.abs(x * T) < 1e-8
+    phi = np.where(small, T * (1.0 + 0.5 * x * T), np.expm1(x * T) / np.where(small, 1.0, x))
+    return np.real(V @ (G * phi) @ V.conj().T)
+
+
 def well_conditioned(A: np.ndarray, limit: float = 1e6) -> bool:
     _, V = np.linalg.eig(A)
     return np.linalg.cond(V) < limit

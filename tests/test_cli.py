@@ -1,9 +1,15 @@
+import copy
 import json
+import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reachkit.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from reachkit.design import BASELINE_DERIVATIVES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -164,7 +170,7 @@ class TestValidation:
         }))
         assert main(["gramian", "--config", str(config)]) == EXIT_CONFIG
 
-    def test_numeric_failure_exit_code(self, tmp_path):
+    def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # no budget-feasible endpoints: the volume task cannot build a hull
         config = tmp_path / "starved.json"
         config.write_text(json.dumps({
@@ -179,6 +185,7 @@ class TestValidation:
         code = main(["volume", "--config", str(config), "--out", str(out)])
         assert code == EXIT_NUMERIC
         assert not out.exists()
+        assert capsys.readouterr().err.startswith("reachkit: numeric failure:")
 
     def test_seed_recorded(self, tmp_path):
         out = tmp_path / "out"
@@ -189,3 +196,147 @@ class TestValidation:
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 1234
+
+
+def shipped(name):
+    return json.loads((CONFIG_DIR / name).read_text())
+
+
+def edited(name, edit):
+    raw = shipped(name)
+    edit(raw)
+    return raw
+
+
+LONGITUDINAL = {"model": "longitudinal", "design": {"b": 9.144, "c_bar": 3.45}}
+
+
+def lp_volume_constraint(**extra):
+    return {"type": "lp_volume", "factor": 1.1, "horizon": 1.0, **extra}
+
+
+# (case id, task, config) rows that must end in exit 2 with nothing written
+MALFORMED = [
+    ("budget-string", "gramian",
+     edited("gramian.json", lambda c: c["task"].update(budget="x"))),
+    ("grid-magnitudes-string", "lp-sample",
+     edited("lp_sample.json", lambda c: c["task"]["grid"].update(magnitudes="ab"))),
+    ("seed-string", "gramian", edited("gramian.json", lambda c: c.update(seed="abc"))),
+    ("n-eta-string", "boundary",
+     edited("boundary.json", lambda c: c["task"].update(n_eta="abc"))),
+    ("bounds-without-upper", "boundary",
+     edited("boundary.json", lambda c: c["task"]["bounds"].pop("upper"))),
+    ("even-nodes", "lp-sample", edited("lp_sample.json", lambda c: c["task"].update(nodes=2000))),
+    ("zero-directions", "volume",
+     edited("volume.json", lambda c: c["task"]["grid"].update(directions_per_shell=0))),
+    ("max-iters-string", "optimize",
+     edited("optimize_trace.json", lambda c: c["task"].update(options={"max_iters": "x"}))),
+    ("one-box-factor", "optimize",
+     edited("optimize_trace.json", lambda c: c["task"].update(box_factors=[0.5]))),
+    ("trim-without-v0", "optimize",
+     edited("optimize_trace.json", lambda c: c["system"].update(trim={"alpha0": 0.2}))),
+    ("lp-volume-odd-p", "optimize",
+     edited("optimize_trace.json",
+            lambda c: c["task"].update(constraint=lp_volume_constraint(p=3)))),
+    ("lp-volume-magnitudes-string", "optimize",
+     edited("optimize_trace.json", lambda c: c["task"].update(
+         constraint=lp_volume_constraint(grid={"magnitudes": "ab"})))),
+    ("negative-wingspan", "gramian",
+     edited("gramian.json", lambda c: c.update(
+         system={"model": "longitudinal", "design": {"b": -1.0, "c_bar": 3.45}}))),
+    ("horizon-true", "gramian", edited("gramian.json", lambda c: c["task"].update(T=True))),
+    ("two-input-boundary", "boundary",
+     edited("boundary.json", lambda c: c["system"].update(B=[[1.0, 0.0], [0.0, 1.0]]))),
+    ("negative-trace-horizon", "optimize",
+     edited("optimize_trace.json", lambda c: c["task"]["constraint"].update(horizon=-1.0))),
+    ("zero-fd-step", "optimize",
+     edited("optimize_trace.json", lambda c: c["task"].update(options={"fd_step": 0.0}))),
+    ("projection-out-of-range", "optimize",
+     edited("optimize_trace.json",
+            lambda c: c["task"].update(constraint=lp_volume_constraint(projection=[0, 9])))),
+    ("empty-magnitudes", "lp-sample",
+     edited("lp_sample.json", lambda c: c["task"]["grid"].update(magnitudes=[]))),
+    ("string-matrix-entry", "gramian",
+     edited("gramian.json", lambda c: c["system"].update(A=[["0.4", -0.3], [0.5, 1.7]]))),
+    ("derivative-string", "gramian",
+     edited("gramian.json", lambda c: c.update(system={**LONGITUDINAL, "derivatives": {
+         **asdict(BASELINE_DERIVATIVES), "X_V": "x"}}))),
+    ("out-dir-number", "gramian", edited("gramian.json", lambda c: c.update(out_dir=3))),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("task,raw", [row[1:] for row in MALFORMED],
+                             ids=[row[0] for row in MALFORMED])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, task, raw):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main([task, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("reachkit: config error:")
+
+
+DEMO = {"A": [[0.4, -0.3], [0.5, 1.7]], "B": [[1.0], [0.0]]}
+SWEEP = {"T": 1.0, "p": 6, "budget": 1.0, "nodes": 101,
+         "grid": {"magnitudes": [0.5, 1.0], "directions_per_shell": 8}}
+TINY = {
+    "boundary": {"system": DEMO, "task": {"name": "boundary", "T": 1.0, "n_eta": 20,
+                                          "bounds": {"lower": -1.0, "upper": 1.0}}},
+    "gramian": {"system": DEMO, "task": {"name": "gramian", "T": 1.0, "budget": 1.0}},
+    "lp-sample": {"system": DEMO, "task": {"name": "lp-sample", **SWEEP}},
+    "inner-approx": {"system": DEMO, "task": {"name": "inner-approx", **SWEEP}},
+    "volume": {"system": DEMO, "task": {"name": "volume", **SWEEP}},
+    "optimize": {
+        "system": {**LONGITUDINAL, "trim": "default", "derivatives": "default"},
+        "task": {"name": "optimize", "box_factors": [0.5, 1.5], "options": {"max_iters": 2},
+                 "constraint": {"type": "gramian_trace", "factor": 1.1, "horizon": 1.0}},
+    },
+}
+for name in TINY:
+    TINY[name]["seed"] = 0
+
+
+@pytest.mark.parametrize("task", sorted(TINY))
+def test_tiny_base_configs_run(tmp_path, task):
+    # the property below changes one key of these; each must run as given
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY[task]))
+    assert main([task, "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def key_paths(obj, prefix=()):
+    """Paths to every value held under an object key, depth first."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+CASES = [(task, path) for task in TINY for path in key_paths(TINY[task])]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.sampled_from(CASES), value=JSON_VALUES)
+def test_any_one_key_changed_gives_a_documented_exit(case, value):
+    task, path = case
+    raw = copy.deepcopy(TINY[task])
+    holder = raw
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw))
+        out = Path(tmp) / "out"
+        code = main([task, "--config", str(config), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+        assert (out / "manifest.json").exists() if code == EXIT_OK else not out.exists()

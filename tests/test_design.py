@@ -15,8 +15,6 @@ from reachkit.design import (
     StabilityDerivatives,
     TrimPoint,
     central_difference,
-    constraint_gramian_trace,
-    constraint_lp_volume,
     default_derivative_table,
     default_trim_point,
     longitudinal_model,
@@ -112,14 +110,15 @@ class TestLongitudinalModel:
 
 class TestGramianTraceConstraint:
     def test_baseline_residual_zero_at_factor_one(self):
-        problem = scaled_input_problem(GramianTraceConstraint(factor=1.0))
-        assert abs(constraint_gramian_trace(problem, problem.baseline)) <= 1e-12
+        constraint = GramianTraceConstraint(factor=1.0)
+        problem = scaled_input_problem(constraint)
+        assert abs(constraint.residual(problem, problem.baseline)) <= 1e-12
 
     def test_baseline_residual_at_paper_factor(self):
         constraint = GramianTraceConstraint(factor=1.1)
         problem = scaled_input_problem(constraint)
         base_trace = constraint.baseline_trace(problem)
-        residual = constraint_gramian_trace(problem, problem.baseline)
+        residual = constraint.residual(problem, problem.baseline)
         assert np.isclose(residual, -0.1 * base_trace, rtol=1e-12)
 
     def test_baseline_belongs_to_its_problem(self):
@@ -144,18 +143,19 @@ class TestGramianTraceConstraint:
         def model(dv, trim):
             return LtiSystem(np.diag([-1.0, -2.0]), [[dv["theta"]], [dv["theta"]]])
 
+        constraint = GramianTraceConstraint(factor=1.0)
         problem = DesignProblem(
             objective=lambda dv: dv["theta"],
             box={"theta": (0.1, 4.0)},
             baseline=DesignVariables({"theta": 1.0}),
-            constraints=(GramianTraceConstraint(factor=1.0),),
+            constraints=(constraint,),
             model=model,
         )
         coeff = (1 - np.exp(-2.0)) / 2 + (1 - np.exp(-4.0)) / 4
         residuals = []
         for theta in (0.5, 1.0, 1.5, 2.0):
             dv = DesignVariables({"theta": theta})
-            r = constraint_gramian_trace(problem, dv)
+            r = constraint.residual(problem, dv)
             assert np.isclose(r, coeff * (theta**2 - 1.0), rtol=1e-10)
             residuals.append(r)
         assert np.all(np.diff(residuals) > 0)
@@ -172,15 +172,16 @@ class TestLpVolumeConstraint:
         )
 
     def test_baseline_residual_zero_at_factor_one(self):
-        problem = scaled_input_problem(self.make_constraint(1.0))
-        assert abs(constraint_lp_volume(problem, problem.baseline)) <= 1e-12
+        constraint = self.make_constraint(1.0)
+        problem = scaled_input_problem(constraint)
+        assert abs(constraint.residual(problem, problem.baseline)) <= 1e-12
 
     def test_scaling_b_increases_residual(self):
         constraint = self.make_constraint(1.0)
         problem = scaled_input_problem(constraint)
         v_base = constraint.baseline_volume(problem)
         dv = DesignVariables({"theta": 1.3})
-        residual = constraint_lp_volume(problem, dv)
+        residual = constraint.residual(problem, dv)
         assert residual > 0.0
         # reachable-set volume grows like theta^n for the sampled hull
         assert abs((residual + v_base) / v_base - 1.3**2) <= 0.05 * 1.3**2
@@ -199,9 +200,9 @@ class TestLpVolumeConstraint:
             model=model,
         )
         base_point = DesignVariables({"u1": 1.1, "u2": 0.9})
-        base = constraint_lp_volume(problem, base_point)
+        base = constraint.residual(problem, base_point)
         for du1, du2 in ((1e-3, 0.0), (0.0, 1e-3), (-1e-3, 1e-3)):
-            shifted = constraint_lp_volume(
+            shifted = constraint.residual(
                 problem, DesignVariables({"u1": 1.1 + du1, "u2": 0.9 + du2})
             )
             assert abs(shifted - base) <= 2e-2 * max(abs(base), 1e-3) + 5e-3
@@ -273,7 +274,7 @@ class TestOptimize:
     def test_model_failure_penalized_not_fatal(self, caplog):
         def fragile_model(dv, trim):
             if dv["theta"] > 1.4:
-                raise RuntimeError("model blew up")
+                raise ValueError("model blew up")
             return LtiSystem(DEMO_A, np.array([[1.0], [0.0]]) * dv["theta"])
 
         problem = DesignProblem(
@@ -286,6 +287,26 @@ class TestOptimize:
         result = optimize(problem, OptimizeOptions(max_iters=20))
         assert result.optimum["theta"] <= 1.4
         assert np.isfinite(result.objective_value)
+
+    def test_coding_error_propagates(self):
+        # only model-build failures earn the penalty; a TypeError is a bug
+        def broken(dv):
+            return dv["x1"] + "1"
+
+        problem = DesignProblem(
+            objective=lambda dv: dv["x1"],
+            box={"x1": (0.0, 1.0)},
+            baseline=DesignVariables({"x1": 0.5}),
+            constraints=(FunctionConstraint(broken, name="broken"),),
+        )
+        with pytest.raises(TypeError):
+            optimize(problem, OptimizeOptions(max_iters=2))
+
+    def test_options_domain(self):
+        for bad in ({"max_iters": -1}, {"fd_step": 0.0}, {"mu0": -1.0}, {"mu_growth": 0.5},
+                    {"mu_max": 1.0}):
+            with pytest.raises(ValueError):
+                OptimizeOptions(**bad)
 
     def test_infeasible_box_returns_best_found(self):
         # constraint unreachable inside the box

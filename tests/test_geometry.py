@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from reachkit import contains, convex_hull, polytope_to_json, volume
+from reachkit import contains, convex_hull, polytope_to_json
 from reachkit.errors import DegenerateGeometryError, UnsupportedDimensionError
 
 
@@ -120,11 +120,11 @@ class TestConvexHullHighDim:
 class TestVolume:
     def test_unit_square(self):
         poly = convex_hull(unit_cube_corners(2), 2)
-        assert abs(volume(poly) - 1.0) <= 1e-12
+        assert abs(poly.volume - 1.0) <= 1e-12
 
     def test_unit_cube(self):
         poly = convex_hull(unit_cube_corners(3), 3)
-        assert abs(volume(poly) - 1.0) <= 1e-10
+        assert abs(poly.volume - 1.0) <= 1e-10
 
     def test_random_4simplex_vs_determinant(self):
         rng = np.random.default_rng(4)
@@ -132,7 +132,7 @@ class TestVolume:
             pts = rng.standard_normal((5, 4))
             poly = convex_hull(pts, 4)
             det = abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(4)
-            assert abs(volume(poly) - det) <= 1e-10 * max(1.0, det)
+            assert abs(poly.volume - det) <= 1e-10 * max(1.0, det)
 
     def test_scaling_law(self):
         rng = np.random.default_rng(5)

@@ -11,10 +11,10 @@ from reachkit import (
     reachability_gramian,
     simulate,
 )
-from reachkit.errors import UnreachableTargetError
+from reachkit.errors import NumericRangeError, UnreachableTargetError
 from reachkit.lpreach import simpson_weights
 
-from helpers import demo_system, gramian_oracle, random_stable_system
+from helpers import demo_system, gramian_oracle, modal_gramian, random_stable_system
 
 
 def control_cost_simpson(control, T, nodes=2001):
@@ -85,6 +85,37 @@ class TestReachabilityGramian:
     def test_nonpositive_horizon(self):
         with pytest.raises(ValueError):
             reachability_gramian(demo_system(), 0.0)
+
+    def test_stiff_spectrum_vs_modal_oracle(self):
+        # e^{-AT} reaches e^{60} here: the full-horizon block exponential
+        # loses every digit of W to it
+        V = np.array([[1.0, 1.0], [0.3, 1.0]])
+        A = V @ np.diag([-30.0, -1.0]) @ np.linalg.inv(V)
+        B = np.array([[1.0], [0.5]])
+        W = reachability_gramian(LtiSystem(A, B), 2.0).W
+        oracle = modal_gramian(A, B, 2.0)
+        assert np.max(np.abs(W - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_stiff_and_unstable_spectra_vs_modal_oracle(self):
+        rng = np.random.default_rng(35)
+        checked = 0
+        while checked < 40:
+            n = int(rng.integers(2, 5))
+            rates = np.concatenate([[-rng.uniform(12.0, 40.0)], rng.uniform(-3.0, 2.0, n - 1)])
+            V = rng.standard_normal((n, n))
+            if np.linalg.cond(V) > 20.0:
+                continue
+            A = V @ np.diag(rates) @ np.linalg.inv(V)
+            B = rng.standard_normal((n, int(rng.integers(1, 3))))
+            T = float(rng.uniform(0.5, 2.0))
+            W = reachability_gramian(LtiSystem(A, B), T).W
+            oracle = modal_gramian(A, B, T)
+            assert np.max(np.abs(W - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+            checked += 1
+
+    def test_overflow_raises(self):
+        with pytest.raises(NumericRangeError):
+            reachability_gramian(LtiSystem([[400.0]], [[1.0]]), 2.0)
 
 
 class TestEllipsoidAxes:
