@@ -3,20 +3,19 @@ systems, via switching controls, plus switching-function analysis for
 general systems.
 """
 
-import csv
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
+from .csvout import write_csv
 from .errors import DimensionError, UnsupportedConfigurationError
 from .geometry import Polytope, convex_hull
 from .lti import (
     LtiSystem,
     PiecewiseConstantControl,
     classify_spectrum,
-    convolution_integral,
     expm_grid,
     matrix_exponential,
 )
@@ -202,7 +201,10 @@ def boundary_curve(
     """Boundary curves of the reachable set under box-bounded input.
 
     Sweeps the switch time eta over a uniform grid on [0, T] and evaluates
-    both one-switch control patterns through exact convolution integrals.
+    both one-switch control patterns through exact convolution integrals:
+    the head int_0^eta e^{A(T - tau)} B dtau is e^{A(T - eta)} F(eta), where
+    F(eta) is the upper-right block of e^{M eta} for M = [[A, B], [0, 0]]
+    (Van Loan), and both factors come from one expm_grid each.
     Requires a single input channel. Systems outside the planar
     real-distinct-eigenvalue class still produce curves, with exact=False
     marking that the exact-boundary guarantee does not apply.
@@ -220,8 +222,13 @@ def boundary_curve(
 
     lo = float(bounds.lower[0])
     hi = float(bounds.upper[0])
+    n = sys.n
     etas = np.linspace(0.0, T, n_eta)
-    head = np.stack([convolution_integral(sys, T, 0.0, eta)[:, 0] for eta in etas])
+    augmented = np.zeros((n + 1, n + 1))
+    augmented[:n, :n] = sys.A
+    augmented[:n, n:] = sys.B
+    growth = expm_grid(augmented, 0.0, T, n_eta, left=np.eye(n, n + 1), right=np.eye(n + 1)[n])
+    head = (expm_grid(sys.A, T, 0.0, n_eta) @ growth)[:, :, 0]
     total = head[-1]
     tail = total - head
     g1 = hi * head + lo * tail
@@ -249,16 +256,4 @@ def boundary_curve_to_csv(curve: BoundaryCurve, path_or_file) -> None:
         + [f"x{i + 1}_g1" for i in range(curve.n)]
         + [f"x{i + 1}_g2" for i in range(curve.n)]
     )
-
-    def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for eta, p1, p2 in zip(curve.etas, curve.g1, curve.g2):
-            writer.writerow([repr(float(eta))] + [repr(float(v)) for v in p1]
-                            + [repr(float(v)) for v in p2])
-
-    if hasattr(path_or_file, "write"):
-        emit(path_or_file)
-    else:
-        with open(path_or_file, "w", newline="") as fh:
-            emit(fh)
+    write_csv(path_or_file, header, np.column_stack([curve.etas, curve.g1, curve.g2]))

@@ -336,18 +336,28 @@ def _parse(raw, task_override: str | None):
     return name, TASKS[name](root.section("system"), task), out_dir, seed
 
 
+def _output_dir(path: str) -> Path:
+    """The output directory, which neither is nor lies under a file."""
+    out = Path(path)
+    for part in (out, *out.parents):
+        if part.exists() and not part.is_dir():
+            raise ConfigError(f"output path {str(part)!r} is a file, not a directory")
+    return out
+
+
 def run(raw, task: str | None = None, out_dir: str | None = None, seed: int | None = None) -> int:
     """Parse a config, compute its task, and write the artifacts plus
     manifest.json; out_dir and seed override the config's values.
 
-    Any error while parsing returns 2 and any error while computing 3.
-    All artifact bytes are rendered before anything touches disk, so
-    neither leaves output behind. Data files are byte-identical across
-    reruns of the same config and seed; only the manifest carries a
-    timestamp.
+    Any error while parsing, an output path that names a file included,
+    returns 2 and any error while computing 3. All artifact bytes are
+    rendered before anything touches disk, so neither leaves output
+    behind. Data files are byte-identical across reruns of the same config
+    and seed; only the manifest carries a timestamp.
     """
     try:
         name, compute, config_out, config_seed = _parse(raw, task)
+        out = _output_dir(config_out if out_dir is None else out_dir)
     except Exception as exc:
         print(f"reachkit: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -357,7 +367,6 @@ def run(raw, task: str | None = None, out_dir: str | None = None, seed: int | No
         print(f"reachkit: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    out = Path(config_out if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for file_name in sorted(artifacts):

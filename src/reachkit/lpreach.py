@@ -8,13 +8,13 @@ budget. A Holder-type bound on ||lambda0||_q^q gives a cheap sufficient
 filter for endpoints guaranteed to be reachable.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm as _gaussian
 from scipy.stats.qmc import Halton as _Halton
 
+from .csvout import write_csv
 from .errors import DimensionError
 from .geometry import Polytope, convex_hull
 from .lti import LtiSystem, expm_grid, matrix_exponential
@@ -61,8 +61,14 @@ class LpSpec:
 
 
 def _signed_root(z: np.ndarray, p: int) -> np.ndarray:
-    # odd (p-1)-th root, sign preserving
-    return np.sign(z) * np.abs(z) ** (1.0 / (p - 1))
+    """Sign-preserving (p-1)-th root: z itself for p = 2, else one new array."""
+    if p == 2:
+        return z
+    if p == 4:
+        return np.cbrt(z)
+    root = np.abs(z)
+    np.power(root, 1.0 / (p - 1), out=root)
+    return np.copysign(root, z, out=root)
 
 
 @dataclass
@@ -197,9 +203,14 @@ def _certify(sys: LtiSystem, spec: LpSpec, grid, nodes: int):
 
 def _sweep(sys: LtiSystem, spec: LpSpec, grid, kernels, certified) -> LpReachCloud:
     pullback, pushforward, weights = kernels
-    controls = _signed_root(np.einsum("jmn,ln->ljm", pullback, grid), spec.p)
-    endpoints = np.einsum("j,jnm,ljm->ln", weights, pushforward, controls)
-    costs = np.einsum("j,ljm->l", weights, np.abs(controls) ** spec.p)
+    nodes, m, n = pullback.shape
+    # column j * m + i of z and u holds node j, channel i
+    z = grid @ pullback.transpose(2, 0, 1).reshape(n, nodes * m)
+    u = _signed_root(z, spec.p)
+    weighted = (weights[:, None, None] * pushforward).transpose(0, 2, 1).reshape(nodes * m, n)
+    endpoints = u @ weighted
+    # |u|^p = u z, since u has the sign of z and |u|^(p-1) = |z|
+    costs = np.multiply(u, z, out=z) @ np.repeat(weights, m)
     reachable = costs <= spec.budget**spec.p + REACHABLE_SLACK
     samples = [
         CostateSample(
@@ -218,8 +229,10 @@ def sample_reach(sys: LtiSystem, spec: LpSpec, grid, nodes: int = DEFAULT_NODES)
     """Sweep a costate grid and label endpoints by optimal signal cost.
 
     Endpoints and costs come from composite Simpson quadrature of the
-    closed-form control, vectorized across the whole grid. The hull is
-    built over the budget-feasible endpoints only.
+    closed-form control, as two GEMMs over the whole grid: costates by
+    pullback gives z, and its odd root u by the weighted pushforward gives
+    the endpoints; the costs are u . z. The hull is built over the
+    budget-feasible endpoints only.
     """
     return _sweep(sys, spec, *_certify(sys, spec, grid, nodes))
 
@@ -281,28 +294,17 @@ def costate_grid(n: int, magnitudes, directions_per_shell: int) -> np.ndarray:
 
 def cloud_to_csv(cloud: LpReachCloud, path_or_file) -> None:
     """Write samples as CSV: costate, endpoint, cost, and budget labels."""
-    if not cloud.samples:
-        n = 0
-    else:
-        n = len(cloud.samples[0].lambda0)
+    samples = cloud.samples
+    n = len(samples[0].lambda0) if samples else 0
     header = (
         [f"lambda0_{i + 1}" for i in range(n)]
         + [f"xf_{i + 1}" for i in range(n)]
         + ["cost_p", "reachable", "within_prop2_bound"]
     )
-
-    def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for s in cloud.samples:
-            writer.writerow(
-                [repr(float(v)) for v in s.lambda0]
-                + [repr(float(v)) for v in s.endpoint]
-                + [repr(s.cost_p), str(s.reachable).lower(), str(s.within_prop2_bound).lower()]
-            )
-
-    if hasattr(path_or_file, "write"):
-        emit(path_or_file)
-    else:
-        with open(path_or_file, "w", newline="") as fh:
-            emit(fh)
+    if not samples:
+        write_csv(path_or_file, header, np.empty((0, 1)))
+        return
+    values = np.column_stack([np.stack([s.lambda0 for s in samples]), cloud.endpoints(),
+                              [s.cost_p for s in samples]])
+    flags = [(s.reachable, s.within_prop2_bound) for s in samples]
+    write_csv(path_or_file, header, values, flags)

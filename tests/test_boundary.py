@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,8 @@ from reachkit import (
     bang_bang_control,
     boundary_curve,
     boundary_curve_to_csv,
+    classify_spectrum,
+    convolution_integral,
     reach_hull_planar,
     simulate,
     switch_count,
@@ -254,6 +258,23 @@ class TestBoundaryCurve:
         assert np.allclose(curve.g1[0], 0.0, atol=1e-13)
         assert np.linalg.norm(curve.g1[-1]) > 1.0
 
+    @pytest.mark.parametrize("A,exact", [
+        ([[20.0, 1.0], [0.0, -20.0]], True),
+        ([[40.0, 1.0], [0.0, -40.0]], True),
+        ([[-40.0, 3.0], [0.0, -1.0]], True),
+        ([[-0.5, 30.0], [-30.0, -0.5]], False),
+    ], ids=["saddle-20", "saddle-40", "stiff", "oscillatory"])
+    def test_matches_per_eta_convolution_integrals(self, A, exact):
+        sys = LtiSystem(A, [[1.0], [1.0]])
+        bounds = ControlBounds(lower=[-0.5], upper=[2.0])
+        curve = boundary_curve(sys, bounds, 1.0, n_eta=201)
+        head = np.stack([convolution_integral(sys, 1.0, 0.0, eta)[:, 0] for eta in curve.etas])
+        tail = head[-1] - head
+        for got, want in ((curve.g1, 2.0 * head - 0.5 * tail), (curve.g2, -0.5 * head + 2.0 * tail)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        assert curve.exact is exact
+        assert exact == classify_spectrum(sys).is_planar_real_distinct
+
 
 class TestReachHull:
     def test_random_switch_endpoints_inside(self):
@@ -303,3 +324,14 @@ class TestCsvExport:
         assert len(lines) == 26
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == 0.0
+
+    def test_bytes_match_csv_writer(self):
+        curve = boundary_curve(demo_system(), UNIT_BOUNDS, 1.0, n_eta=25)
+        buf = io.StringIO()
+        boundary_curve_to_csv(curve, buf)
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["eta", "x1_g1", "x2_g1", "x1_g2", "x2_g2"])
+        for eta, p1, p2 in zip(curve.etas, curve.g1, curve.g2):
+            writer.writerow([repr(float(v)) for v in (eta, *p1, *p2)])
+        assert buf.getvalue() == want.getvalue()

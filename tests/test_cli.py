@@ -276,6 +276,16 @@ class TestExitCodes:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("reachkit: config error:")
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        out = blocker / "out" if below else blocker
+        assert run_cli("gramian", CONFIG_DIR / "gramian.json", out) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("reachkit: config error:")
+        assert blocker.read_text() == "keep"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
 
 DEMO = {"A": [[0.4, -0.3], [0.5, 1.7]], "B": [[1.0], [0.0]]}
 SWEEP = {"T": 1.0, "p": 6, "budget": 1.0, "nodes": 101,

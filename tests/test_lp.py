@@ -1,3 +1,7 @@
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,7 @@ from reachkit import (
     reachability_gramian,
     sample_reach,
 )
-from reachkit.lpreach import simpson_weights
+from reachkit.lpreach import _quadrature_kernels, simpson_weights
 
 from helpers import (
     demo_system,
@@ -225,6 +229,72 @@ class TestSampleReach:
                 assert hamiltonian_control_part(u_star + delta) >= base - 1e-12
 
 
+def einsum_sweep(sys, spec, grid, nodes):
+    """Endpoints and costs by the three-operand einsums of the earlier sweep."""
+    pullback, pushforward, weights = _quadrature_kernels(sys, spec.T, nodes)
+    z = np.einsum("jmn,ln->ljm", pullback, grid)
+    u = np.sign(z) * np.abs(z) ** (1.0 / (spec.p - 1))
+    endpoints = np.einsum("j,jnm,ljm->ln", weights, pushforward, u)
+    return endpoints, np.einsum("j,ljm->l", weights, np.abs(u) ** spec.p)
+
+
+def sweep_arrays(cloud):
+    return (np.stack([s.endpoint for s in cloud.samples]),
+            np.array([s.cost_p for s in cloud.samples]))
+
+
+SADDLE = LtiSystem([[20.0, 1.0], [0.0, -20.0]], [[1.0, 0.0], [1.0, 0.5]])
+STIFF = LtiSystem([[-40.0, 3.0], [0.0, -1.0]], [[1.0, 0.0], [1.0, 0.5]])
+
+
+class TestSweepKernel:
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gemm_sweep_matches_einsum(self, n, m, p):
+        rng = np.random.default_rng(100 * n + 10 * m + p)
+        B = rng.standard_normal((n, m))
+        B[-1] = 0.0  # e_n is then orthogonal to range(B)
+        sys = LtiSystem(rng.standard_normal((n, n)), B)
+        grid = np.vstack([costate_grid(n, [0.5, 2.0], 12), [[0.0] * (n - 1) + [r]
+                                                           for r in (0.3, -1.0, 4.0)]])
+        spec, nodes = LpSpec(p=p, T=1.0), 401
+        # z = -B^T lambda0 vanishes exactly at t = 0 on the last three costates
+        pullback = _quadrature_kernels(sys, spec.T, nodes)[0]
+        assert not np.any(grid[-3:] @ pullback[0].T)
+        got_ends, got_costs = sweep_arrays(sample_reach(sys, spec, grid, nodes))
+        ends, costs = einsum_sweep(sys, spec, grid, nodes)
+        scale = np.max(np.abs(ends), axis=1, keepdims=True)
+        assert np.all(np.abs(got_ends - ends) <= 1e-12 * scale)
+        assert np.all(np.abs(got_costs - costs) <= 1e-12 * costs)
+        assert np.all(got_costs >= 0.0)
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    @pytest.mark.parametrize("sys", [SADDLE, STIFF], ids=["saddle", "stiff"])
+    def test_two_input_sweep_against_direct_expm_simpson(self, sys, p):
+        grid = costate_grid(2, [0.5, 2.0], 16)
+        got_ends, got_costs = sweep_arrays(sample_reach(sys, LpSpec(p=p, T=1.0), grid))
+        ends, costs = simpson_reach_oracle(sys, p, 1.0, grid)
+        scale = np.max(np.abs(ends), axis=1, keepdims=True)
+        assert np.all(np.abs(got_ends - ends) <= 1e-10 * scale)
+        assert np.all(np.abs(got_costs - costs) <= 1e-10 * costs)
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_peak_memory_is_two_sweep_arrays(self, p):
+        # z and its root are (costates, nodes * m) arrays; the einsum sweep
+        # peaked at four of them
+        sys = LtiSystem(demo_system().A, np.eye(2))
+        grid = np.random.default_rng(7).standard_normal((790, 2))
+        nodes = 2001
+        tracemalloc.start()
+        try:
+            sample_reach(sys, LpSpec(p=p, T=1.0), grid, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(grid) * nodes * sys.m * 8
+
+
 class TestProp2Bound:
     def test_unit_scalar_system(self):
         sys = LtiSystem([[0.0]], [[1.0]])
@@ -310,6 +380,26 @@ class TestCloudCsv:
         assert lines[0] == "lambda0_1,lambda0_2,xf_1,xf_2,cost_p,reachable,within_prop2_bound"
         assert len(lines) == len(cloud.samples) + 1
         assert lines[1].split(",")[-2] in ("true", "false")
+
+
+    def test_bytes_match_csv_writer(self):
+        cloud = sample_reach(demo_system(), SPEC6, costate_grid(2, [0.5, 1.0, 5.0], 32))
+        buf = io.StringIO()
+        cloud_to_csv(cloud, buf)
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["lambda0_1", "lambda0_2", "xf_1", "xf_2", "cost_p", "reachable",
+                         "within_prop2_bound"])
+        for s in cloud.samples:
+            writer.writerow([repr(float(v)) for v in (*s.lambda0, *s.endpoint, s.cost_p)]
+                            + [str(s.reachable).lower(), str(s.within_prop2_bound).lower()])
+        assert {s.reachable for s in cloud.samples} == {True, False}
+        assert buf.getvalue() == want.getvalue()
+
+    def test_empty_cloud_writes_the_header_only(self):
+        buf = io.StringIO()
+        cloud_to_csv(inner_approx(demo_system(), SPEC6, 1e6 * costate_grid(2, [1.0], 4)), buf)
+        assert buf.getvalue() == "cost_p,reachable,within_prop2_bound\r\n"
 
 
 class TestSimpsonWeights:
