@@ -42,7 +42,6 @@ from .gramian import (
     reachability_gramian,
 )
 from .lpreach import (
-    CostateSample,
     LpOptimalControl,
     LpReachCloud,
     LpSpec,

@@ -57,9 +57,6 @@ class DesignVariables:
     def __getitem__(self, name: str) -> float:
         return self._values[name]
 
-    def get(self, name: str, default=None):
-        return self._values.get(name, default)
-
     @property
     def b(self) -> float:
         return self._values["b"]
@@ -319,11 +316,8 @@ class LpVolumeConstraint(Constraint):
         sys_dv = problem.build_system(dv)
         cloud = sample_reach(sys_dv, self.spec, self.grid_for(sys_dv.n), nodes=self.nodes)
         if self.projection is not None:
-            pts = cloud.reachable_endpoints()
-            if len(pts) == 0:
-                hull = None
-            else:
-                hull = convex_hull(pts[:, list(self.projection)], dim=len(self.projection))
+            pts = cloud.samples.endpoint[cloud.samples.reachable][:, list(self.projection)]
+            hull = convex_hull(pts, dim=len(self.projection)) if len(pts) else None
         else:
             hull = cloud.hull
         if hull is None or hull.degenerate:

@@ -29,10 +29,6 @@ class Polytope:
     volume: float
     degenerate: bool = False
 
-    @property
-    def facets(self):
-        return list(zip(self.facet_normals, self.facet_offsets))
-
     def facet_violation(self, x) -> float:
         """Largest signed facet residual of x; <= 0 means inside."""
         if self.degenerate:

@@ -37,13 +37,6 @@ class Gramian:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def eigenpairs(self):
-        return [
-            (float(self.eigenvalues[i]), self.eigenvectors[:, i])
-            for i in range(len(self.eigenvalues))
-        ]
-
 
 @dataclass
 class MinEnergyControl:

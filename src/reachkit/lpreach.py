@@ -22,7 +22,6 @@ from .lti import LtiSystem, expm_grid, matrix_exponential
 __all__ = [
     "LpSpec",
     "LpOptimalControl",
-    "CostateSample",
     "LpReachCloud",
     "lp_optimal_control",
     "costate_grid",
@@ -88,39 +87,25 @@ class LpOptimalControl:
 
 
 @dataclass
-class CostateSample:
-    """One costate draw: terminal point, optimal cost, and budget labels."""
-
-    lambda0: np.ndarray
-    endpoint: np.ndarray
-    cost_p: float
-    reachable: bool
-    within_prop2_bound: bool
-
-
-@dataclass
 class LpReachCloud:
-    """Costate sweep results plus the hull of the affordable endpoints."""
+    """Costate sweep results plus the hull of the affordable endpoints.
 
-    samples: list
+    samples is a record array with one row per costate and the fields
+    lambda0 (n,), endpoint (n,), cost_p, reachable and within_prop2_bound,
+    so samples.endpoint is the (N, n) endpoint array and samples[i] one
+    costate's record.
+    """
+
+    samples: np.recarray
     spec: LpSpec
     hull: Polytope | None
 
-    def reachable_endpoints(self) -> np.ndarray:
-        pts = [s.endpoint for s in self.samples if s.reachable]
-        if not pts:
-            return np.zeros((0, 0))
-        return np.stack(pts)
-
-    def endpoints(self) -> np.ndarray:
-        return np.stack([s.endpoint for s in self.samples])
-
-    def nearest_sample(self, xf) -> CostateSample:
+    def nearest_sample(self, xf) -> np.record:
         """Sample whose endpoint is closest to the queried state."""
-        if not self.samples:
+        if len(self.samples) == 0:
             raise ValueError("cloud has no samples")
         xf = np.asarray(xf, dtype=float)
-        dists = np.linalg.norm(self.endpoints() - xf, axis=1)
+        dists = np.linalg.norm(self.samples.endpoint - xf, axis=1)
         return self.samples[int(np.argmin(dists))]
 
 
@@ -201,28 +186,23 @@ def _certify(sys: LtiSystem, spec: LpSpec, grid, nodes: int):
     return grid, kernels, lam_norms <= _radius(kernels[0], kernels[2], spec) * spec.budget**spec.p
 
 
-def _sweep(sys: LtiSystem, spec: LpSpec, grid, kernels, certified) -> LpReachCloud:
+def _sweep(spec: LpSpec, grid, kernels, certified) -> LpReachCloud:
     pullback, pushforward, weights = kernels
     nodes, m, n = pullback.shape
     # column j * m + i of z and u holds node j, channel i
     z = grid @ pullback.transpose(2, 0, 1).reshape(n, nodes * m)
     u = _signed_root(z, spec.p)
     weighted = (weights[:, None, None] * pushforward).transpose(0, 2, 1).reshape(nodes * m, n)
-    endpoints = u @ weighted
+    samples = np.recarray(len(grid), dtype=[
+        ("lambda0", float, (n,)), ("endpoint", float, (n,)), ("cost_p", float),
+        ("reachable", bool), ("within_prop2_bound", bool)])
+    samples.lambda0 = grid
+    samples.endpoint = u @ weighted
     # |u|^p = u z, since u has the sign of z and |u|^(p-1) = |z|
-    costs = np.multiply(u, z, out=z) @ np.repeat(weights, m)
-    reachable = costs <= spec.budget**spec.p + REACHABLE_SLACK
-    samples = [
-        CostateSample(
-            lambda0=grid[i],
-            endpoint=endpoints[i],
-            cost_p=float(costs[i]),
-            reachable=bool(reachable[i]),
-            within_prop2_bound=bool(certified[i]),
-        )
-        for i in range(len(grid))
-    ]
-    return LpReachCloud(samples=samples, spec=spec, hull=_build_hull(endpoints[reachable], sys.n))
+    samples.cost_p = np.multiply(u, z, out=z) @ np.repeat(weights, m)
+    samples.reachable = samples.cost_p <= spec.budget**spec.p + REACHABLE_SLACK
+    samples.within_prop2_bound = certified
+    return LpReachCloud(samples, spec, _build_hull(samples.endpoint[samples.reachable], n))
 
 
 def sample_reach(sys: LtiSystem, spec: LpSpec, grid, nodes: int = DEFAULT_NODES) -> LpReachCloud:
@@ -234,7 +214,7 @@ def sample_reach(sys: LtiSystem, spec: LpSpec, grid, nodes: int = DEFAULT_NODES)
     the endpoints; the costs are u . z. The hull is built over the
     budget-feasible endpoints only.
     """
-    return _sweep(sys, spec, *_certify(sys, spec, grid, nodes))
+    return _sweep(spec, *_certify(sys, spec, grid, nodes))
 
 
 def inner_approx(sys: LtiSystem, spec: LpSpec, grid, nodes: int = DEFAULT_NODES) -> LpReachCloud:
@@ -246,9 +226,7 @@ def inner_approx(sys: LtiSystem, spec: LpSpec, grid, nodes: int = DEFAULT_NODES)
     are built once and serve both the filter and the sweep.
     """
     grid, kernels, certified = _certify(sys, spec, grid, nodes)
-    if not certified.any():
-        return LpReachCloud(samples=[], spec=spec, hull=None)
-    return _sweep(sys, spec, grid[certified], kernels, certified[certified])
+    return _sweep(spec, grid[certified], kernels, certified[certified])
 
 
 def _sphere_directions(n: int, count: int) -> np.ndarray:
@@ -294,17 +272,12 @@ def costate_grid(n: int, magnitudes, directions_per_shell: int) -> np.ndarray:
 
 def cloud_to_csv(cloud: LpReachCloud, path_or_file) -> None:
     """Write samples as CSV: costate, endpoint, cost, and budget labels."""
-    samples = cloud.samples
-    n = len(samples[0].lambda0) if samples else 0
+    s = cloud.samples
+    n = s.dtype["endpoint"].shape[0]
     header = (
         [f"lambda0_{i + 1}" for i in range(n)]
         + [f"xf_{i + 1}" for i in range(n)]
         + ["cost_p", "reachable", "within_prop2_bound"]
     )
-    if not samples:
-        write_csv(path_or_file, header, np.empty((0, 1)))
-        return
-    values = np.column_stack([np.stack([s.lambda0 for s in samples]), cloud.endpoints(),
-                              [s.cost_p for s in samples]])
-    flags = [(s.reachable, s.within_prop2_bound) for s in samples]
-    write_csv(path_or_file, header, values, flags)
+    write_csv(path_or_file, header, np.column_stack([s.lambda0, s.endpoint, s.cost_p]),
+              np.column_stack([s.reachable, s.within_prop2_bound]))

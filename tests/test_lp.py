@@ -181,7 +181,7 @@ class TestSampleReach:
         sys = demo_system()
         grid = costate_grid(2, [0.5, 1.0, 5.0, 20.0], 64)
         cloud = sample_reach(sys, SPEC6, grid)
-        reachable = cloud.reachable_endpoints()
+        reachable = cloud.samples.endpoint[cloud.samples.reachable]
         assert cloud.hull is not None
         hull_rows = {tuple(v) for v in cloud.hull.vertices}
         reachable_rows = {tuple(r) for r in reachable}
@@ -327,7 +327,7 @@ class TestInnerApprox:
     def test_huge_grid_filters_to_empty(self):
         grid = 1e6 * costate_grid(2, [1.0], 16)
         cloud = inner_approx(demo_system(), SPEC6, grid)
-        assert cloud.samples == []
+        assert len(cloud.samples) == 0
         assert cloud.hull is None
 
     def test_all_samples_certified_and_reachable(self):
@@ -366,8 +366,44 @@ class TestNearestSample:
         cloud = sample_reach(sys, SPEC6, costate_grid(2, [0.5, 1.0, 2.0], 32))
         target = cloud.samples[7].endpoint
         found = cloud.nearest_sample(target)
-        dists = np.linalg.norm(cloud.endpoints() - target, axis=1)
+        dists = np.linalg.norm(cloud.samples.endpoint - target, axis=1)
         assert np.linalg.norm(found.endpoint - target) == dists.min()
+
+
+class TestRecordCloud:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_column_reads_equal_record_reads(self, n, m):
+        sys = random_stable_system(np.random.default_rng(10 * n + m), n, m)
+        # shells from inside the certified radius to far outside the budget
+        r0 = prop2_bound(sys, SPEC6, nodes=201) ** (1.0 / SPEC6.q)
+        grid = costate_grid(n, r0 * np.array([0.5, 2.0, 8.0, 50.0]), 12)
+        samples = sample_reach(sys, SPEC6, grid, nodes=201).samples
+        assert samples.endpoint.shape == (len(grid), n)
+        assert np.array_equal(samples.lambda0, grid)
+        assert 0 < samples.within_prop2_bound.sum() < samples.reachable.sum() < len(samples)
+        for field in samples.dtype.names:
+            rows = np.array([getattr(s, field) for s in samples])
+            assert np.array_equal(getattr(samples, field), rows), field
+            assert np.array_equal(samples[field], rows), field
+
+    def test_summed_record_flags_equal_column_sums(self):
+        samples = sample_reach(demo_system(), SPEC6, costate_grid(2, [0.2, 1.0, 5.0, 20.0], 64)).samples
+        assert sum(s.reachable for s in samples) == samples.reachable.sum()
+        assert sum(s.within_prop2_bound for s in samples) == samples.within_prop2_bound.sum()
+        assert 0 < samples.within_prop2_bound.sum() < samples.reachable.sum() < len(samples)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_uncertified_grid_gives_an_empty_record_array(self, n):
+        sys = random_stable_system(np.random.default_rng(n), n, 1)
+        cloud = inner_approx(sys, SPEC6, 1e6 * costate_grid(n, [1.0], 8), nodes=201)
+        assert len(cloud.samples) == 0
+        assert cloud.samples.endpoint.shape == (0, n)
+        assert cloud.samples.lambda0.shape == (0, n)
+        assert cloud.hull is None
+        buf = io.StringIO()
+        cloud_to_csv(cloud, buf)
+        assert len(buf.getvalue().split(",")) == 2 * n + 3
 
 
 class TestCloudCsv:
@@ -399,7 +435,8 @@ class TestCloudCsv:
     def test_empty_cloud_writes_the_header_only(self):
         buf = io.StringIO()
         cloud_to_csv(inner_approx(demo_system(), SPEC6, 1e6 * costate_grid(2, [1.0], 4)), buf)
-        assert buf.getvalue() == "cost_p,reachable,within_prop2_bound\r\n"
+        assert buf.getvalue() == ("lambda0_1,lambda0_2,xf_1,xf_2,cost_p,reachable,"
+                                  "within_prop2_bound\r\n")
 
 
 class TestSimpsonWeights:

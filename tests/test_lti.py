@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from reachkit import (
@@ -180,6 +182,64 @@ class TestExpmGridOracle:
         assert expm_grid(A, 0.0, 1.0, 7, left=np.eye(2)[:1], right=RIGHT).shape == (7, 1, 1)
         with pytest.raises(ValueError):
             expm_grid(A, 0.0, 1.0, 0)
+
+
+def spectrum_block(kind: str, n: int, rng) -> np.ndarray:
+    """Real block-diagonal matrix with a spectrum of the named kind."""
+    D = np.zeros((n, n))
+    if kind == "oscillatory":
+        for k in range(0, n - 1, 2):
+            a, w = rng.uniform(-1.0, 0.2), rng.uniform(5.0, 30.0)
+            D[k:k + 2, k:k + 2] = [[a, w], [-w, a]]
+        if n % 2:
+            D[-1, -1] = rng.uniform(-1.0, 1.0)
+    elif kind == "stiff":
+        np.fill_diagonal(D, -np.geomspace(1.0, rng.uniform(1e2, 1e4), n))
+    elif kind == "saddle":
+        np.fill_diagonal(D, rng.uniform(0.5, 1.0, n) * (-1.0) ** np.arange(n))
+    else:
+        np.fill_diagonal(D, np.linspace(-1.0, 1.0, n) + rng.uniform(-0.2, 0.2, n))
+    return D
+
+
+def operand(shape, rng):
+    return None if shape is None else rng.standard_normal(shape)
+
+
+@st.composite
+def grid_cases(draw):
+    """A = V D V^-1 with cond(V) <= 30, scaled to ||A||_1 T <= 40, with
+    random left/right operands (absent, 1-D or 2-D)."""
+    kind = draw(st.sampled_from(["real-distinct", "saddle", "stiff", "oscillatory"]))
+    n = draw(st.integers(1 if kind == "real-distinct" else 2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = rng.standard_normal((n, n))
+    while np.linalg.cond(V) > 30.0:
+        V = rng.standard_normal((n, n))
+    A = V @ spectrum_block(kind, n, rng) @ np.linalg.inv(V)
+    T = draw(st.floats(0.05, 5.0))
+    A *= draw(st.floats(0.1, 40.0)) / (np.linalg.norm(A, 1) * T)
+    num = draw(st.sampled_from([1, 2, 3, 17, 2001]))
+    left = operand(draw(st.sampled_from([None, (n,), (1, n), (3, n)])), rng)
+    right = operand(draw(st.sampled_from([None, (n,), (n, 1), (n, 2)])), rng)
+    return A, T, num, left, right
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(case=grid_cases())
+def test_expm_grid_meets_direct_expm_at_every_node(case):
+    A, T, num, left, right = case
+    n = len(A)
+    L = np.eye(n) if left is None else np.atleast_2d(left)
+    R = np.eye(n) if right is None else right.reshape(n, -1)
+    for t0, t1 in ((0.0, T), (T, 0.0)):
+        direct = expm(A[None] * np.linspace(t0, t1, num)[:, None, None])
+        got = expm_grid(A, t0, t1, num, left=left, right=right)
+        assert got.shape == (num, len(L), R.shape[1])
+        # each node's error against its largest entry of |L| |e^{At}| |R|
+        scale = np.max(np.abs(L) @ np.abs(direct) @ np.abs(R), axis=(1, 2))
+        err = np.max(np.abs(got - L @ direct @ R), axis=(1, 2)) / scale
+        assert err.max() <= 1e-10, (t0, t1, err.max())
 
 
 class TestConvolutionIntegral:
