@@ -256,18 +256,12 @@ def costate_grid(n: int, magnitudes, directions_per_shell: int) -> np.ndarray:
         raise ValueError("magnitudes must be nonempty, positive and ascending")
     if directions_per_shell < 1:
         raise ValueError("directions_per_shell must be >= 1")
-    dirs = _sphere_directions(n, directions_per_shell)
-    corners = np.vstack([np.eye(n), -np.eye(n)])
-    points = []
-    seen = set()
-    for r in magnitudes:
-        for block in (r * corners, r * dirs):
-            for row in block:
-                key = row.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    points.append(row)
-    return np.array(points)
+    shell = np.vstack([np.eye(n), -np.eye(n), _sphere_directions(n, directions_per_shell)])
+    points = (magnitudes[:, None, None] * shell).reshape(-1, n)
+    # rows compare as raw bytes, so -0.0 and 0.0 stay distinct
+    rows = points.view(np.dtype((np.void, points.itemsize * n))).ravel()
+    _, first = np.unique(rows, return_index=True)
+    return points[np.sort(first)]
 
 
 def cloud_to_csv(cloud: LpReachCloud, path_or_file) -> None:

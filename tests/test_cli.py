@@ -157,10 +157,11 @@ class TestValidation:
 
     def test_unknown_optimizer_options(self, tmp_path):
         raw = json.loads((CONFIG_DIR / "optimize_trace.json").read_text())
-        raw["task"]["options"] = {"not_a_real_option": 5}
-        config = tmp_path / "badopt.json"
-        config.write_text(json.dumps(raw))
-        assert main(["optimize", "--config", str(config)]) == EXIT_CONFIG
+        for options in ({"not_a_real_option": 5}, {"mu0": 10.0}, {"kkt_tol": 1e-6}):
+            raw["task"]["options"] = options
+            config = tmp_path / "badopt.json"
+            config.write_text(json.dumps(raw))
+            assert main(["optimize", "--config", str(config)]) == EXIT_CONFIG
 
     def test_bad_system_matrix(self, tmp_path):
         config = tmp_path / "bad_system.json"
@@ -251,6 +252,8 @@ MALFORMED = [
      edited("optimize_trace.json", lambda c: c["task"]["constraint"].update(horizon=-1.0))),
     ("zero-fd-step", "optimize",
      edited("optimize_trace.json", lambda c: c["task"].update(options={"fd_step": 0.0}))),
+    ("negative-feas-tol", "optimize",
+     edited("optimize_trace.json", lambda c: c["task"].update(options={"feas_tol": -1.0}))),
     ("projection-out-of-range", "optimize",
      edited("optimize_trace.json",
             lambda c: c["task"].update(constraint=lp_volume_constraint(projection=[0, 9])))),

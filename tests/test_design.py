@@ -1,9 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+import reachkit.design
 from reachkit import LpSpec, LtiSystem, gramian_trace, reachability_gramian
 from reachkit.design import (
     BASELINE_CHORD,
+    BASELINE_DERIVATIVES,
     BASELINE_WINGSPAN,
     DesignProblem,
     DesignVariables,
@@ -12,6 +16,7 @@ from reachkit.design import (
     GramianTraceConstraint,
     LpVolumeConstraint,
     OptimizeOptions,
+    ScalableDerivativeTable,
     StabilityDerivatives,
     TrimPoint,
     central_difference,
@@ -303,8 +308,7 @@ class TestOptimize:
             optimize(problem, OptimizeOptions(max_iters=2))
 
     def test_options_domain(self):
-        for bad in ({"max_iters": -1}, {"fd_step": 0.0}, {"mu0": -1.0}, {"mu_growth": 0.5},
-                    {"mu_max": 1.0}):
+        for bad in ({"max_iters": -1}, {"fd_step": 0.0}, {"feas_tol": -1.0}):
             with pytest.raises(ValueError):
                 OptimizeOptions(**bad)
 
@@ -319,9 +323,72 @@ class TestOptimize:
         result = optimize(problem, OptimizeOptions(max_iters=8))
         assert not result.converged
         assert 0.0 <= result.optimum["x1"] <= 1.0
+        # with no feasible point in the box, the least infeasible one seen wins
+        assert result.constraint_residuals[0] == max(r[0] for _, _, r in result.history)
+
+    def test_unconverged_solve_returns_best_point_seen(self):
+        # SLSQP's first step from x1 = 0.5 overshoots the unit disc; stopped
+        # there, the feasible start point beats the infeasible last iterate
+        problem = DesignProblem(
+            objective=lambda dv: -dv["x1"],
+            box={"x1": (0.0, 3.0)},
+            baseline=DesignVariables({"x1": 0.5}),
+            constraints=(FunctionConstraint(lambda dv: 1.0 - dv["x1"] ** 2, name="disc"),),
+        )
+        result = optimize(problem, OptimizeOptions(max_iters=1))
+        assert not result.converged
+        assert result.history[-1][2][0] < 0.0
+        assert result.optimum["x1"] == 0.5
+        assert result.constraint_residuals[0] == 0.75
+
+
+class TestHardVolumeSolve:
+    def test_scaled_table_volume_solve_converges_in_few_sweeps(self, monkeypatch):
+        # a seeded wing problem with a 6-norm reach-volume constraint over a
+        # coarse costate grid; the volume is piecewise smooth in the design,
+        # and an augmented-Lagrangian loop spent 16486 sweeps on it without
+        # converging. The draws follow the order trim, 13 scales, factor.
+        rng = np.random.default_rng([1, 20, 5])
+        rng.random(3)  # the trim point, which this variant leaves at its default
+        scales = rng.uniform(0.9, 1.1, 13)
+        factor = float(rng.uniform(1.05, 1.2))
+        base = BASELINE_DERIVATIVES
+        table = ScalableDerivativeTable(
+            base=StabilityDerivatives(**{f.name: getattr(base, f.name) * s
+                                         for f, s in zip(fields(base), scales)}),
+            b_ref=BASELINE_WINGSPAN, c_bar_ref=BASELINE_CHORD,
+        )
+        constraint = LpVolumeConstraint(LpSpec(6, 1.0), factor=factor,
+                                        magnitudes=[0.01, 0.02, 0.05, 0.1],
+                                        directions_per_shell=4, nodes=501)
+        problem = surrogate_wing_problem(constraint, table=table)
+        sweeps = []
+        sample_reach = reachkit.design.sample_reach
+
+        def counted(*args, **kwargs):
+            sweeps.append(1)
+            return sample_reach(*args, **kwargs)
+
+        monkeypatch.setattr(reachkit.design, "sample_reach", counted)
+        result = optimize(problem)
+        assert result.converged
+        assert result.constraint_residuals[0] >= -1e-6 * constraint.baseline_volume(problem)
+        assert len(sweeps) <= 200
 
 
 class TestFiniteDifferenceGradient:
+    def test_vector_function_gives_the_jacobian(self):
+        def fn(x):
+            return np.array([x[0] ** 2 * x[1], np.sin(x[1]) + x[2], np.exp(x[0] - x[2])])
+
+        x = np.array([0.7, -1.3, 2.1])
+        jac = central_difference(fn, x)
+        assert jac.shape == (3, len(x))
+        for k in range(3):
+            row = central_difference(lambda y: fn(y)[k], x)
+            assert row.shape == (len(x),)
+            assert np.array_equal(jac[k], row)
+
     def test_trace_constraint_gradient_vs_higher_order(self):
         constraint = GramianTraceConstraint(factor=1.1)
         problem = surrogate_wing_problem(constraint)

@@ -20,7 +20,7 @@ from reachkit import (
     reachability_gramian,
     sample_reach,
 )
-from reachkit.lpreach import _quadrature_kernels, simpson_weights
+from reachkit.lpreach import _quadrature_kernels, _sphere_directions, simpson_weights
 
 from helpers import (
     demo_system,
@@ -116,6 +116,23 @@ class TestCostateGrid:
         norms = np.linalg.norm(grid, axis=1)
         assert np.allclose(norms, 2.0, atol=1e-12)
         assert len(grid) >= 64
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("magnitudes", [[0.5, 2.0, 7.0], [0.5, 1.0, 1.0, 3.0, 3.0]])
+    def test_matches_first_occurrence_loop(self, n, magnitudes):
+        # the reference keeps each row whose bytes were not seen before
+        dirs = _sphere_directions(n, 24)
+        corners = np.vstack([np.eye(n), -np.eye(n)])
+        points, seen = [], set()
+        for r in magnitudes:
+            for row in np.vstack([r * corners, r * dirs]):
+                if row.tobytes() not in seen:
+                    seen.add(row.tobytes())
+                    points.append(row)
+        grid = costate_grid(n, magnitudes, 24)
+        assert grid.tobytes() == np.array(points).tobytes()
+        shell = 2 * n + 24 - (n == 2)  # for n = 2, dirs[0] is e_1
+        assert len(grid) == shell * len(set(magnitudes))
 
     def test_validation(self):
         with pytest.raises(ValueError):
