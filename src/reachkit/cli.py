@@ -266,8 +266,10 @@ def _parse_constraint(constraint: _Section, n: int):
     if projection is not None and not (
         isinstance(projection, list) and 2 <= len(projection) <= 4
         and all(type(i) is int and 0 <= i < n for i in projection)
+        and len(set(projection)) == len(projection)
     ):
-        raise ConfigError(f"{constraint.path}.projection must list 2 to 4 state indices below {n}")
+        raise ConfigError(
+            f"{constraint.path}.projection must list 2 to 4 distinct state indices below {n}")
     return LpVolumeConstraint(
         spec, factor=factor, grid=costates, nodes=nodes, projection=projection
     )

@@ -290,7 +290,8 @@ class LpVolumeConstraint(Constraint):
     The costate grid is frozen at construction (or on first use, from the
     problem's state dimension) and shared by every evaluation, so the
     volume varies smoothly with the design instead of jumping with the
-    sampling. A degenerate or empty hull counts as volume zero.
+    sampling. A degenerate or empty hull counts as volume zero, except at
+    the baseline: no factor scales a zero volume, so there it is a ValueError.
     """
 
     name = "lp_volume"
@@ -336,7 +337,10 @@ class LpVolumeConstraint(Constraint):
         return hull.volume
 
     def baseline_volume(self, problem) -> float:
-        return problem.baseline_value(self, lambda: self._volume_at(problem, problem.baseline))
+        vol = problem.baseline_value(self, lambda: self._volume_at(problem, problem.baseline))
+        if vol == 0.0:
+            raise ValueError("baseline reach-set hull is empty or degenerate")
+        return vol
 
     def residual(self, problem, dv) -> float:
         return self._volume_at(problem, dv) - self.factor * self.baseline_volume(problem)

@@ -257,6 +257,9 @@ MALFORMED = [
     ("projection-out-of-range", "optimize",
      edited("optimize_trace.json",
             lambda c: c["task"].update(constraint=lp_volume_constraint(projection=[0, 9])))),
+    ("projection-repeated", "optimize",
+     edited("optimize_trace.json",
+            lambda c: c["task"].update(constraint=lp_volume_constraint(projection=[1, 1])))),
     ("empty-magnitudes", "lp-sample",
      edited("lp_sample.json", lambda c: c["task"]["grid"].update(magnitudes=[]))),
     ("string-matrix-entry", "gramian",
@@ -265,6 +268,17 @@ MALFORMED = [
      edited("gramian.json", lambda c: c.update(system={**LONGITUDINAL, "derivatives": {
          **asdict(BASELINE_DERIVATIVES), "X_V": "x"}}))),
     ("out-dir-number", "gramian", edited("gramian.json", lambda c: c.update(out_dir=3))),
+]
+
+# (case id, task, config) rows that parse but must end in exit 3 with nothing written
+NUMERIC = [
+    # the default grid (magnitudes 5 to 100) leaves no budget-feasible endpoint on the
+    # default wing, so the baseline volume is 0 and no factor of it constrains anything
+    ("lp-volume-empty-baseline", "optimize",
+     edited("optimize_trace.json", lambda c: c["task"].update(constraint=lp_volume_constraint()))),
+    ("lp-volume-empty-projected-baseline", "optimize",
+     edited("optimize_trace.json",
+            lambda c: c["task"].update(constraint=lp_volume_constraint(projection=[0, 1])))),
 ]
 
 
@@ -278,6 +292,16 @@ class TestExitCodes:
         assert main([task, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
         assert capsys.readouterr().err.startswith("reachkit: config error:")
+
+    @pytest.mark.parametrize("task,raw", [row[1:] for row in NUMERIC],
+                             ids=[row[0] for row in NUMERIC])
+    def test_numeric_failure_exits_3(self, tmp_path, capsys, task, raw):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main([task, "--config", str(config), "--out", str(out)]) == EXIT_NUMERIC
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("reachkit: numeric failure:")
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys, below):

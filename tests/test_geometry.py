@@ -102,6 +102,8 @@ class TestConvexHullHighDim:
         poly = convex_hull(unit_cube_corners(4), 4)
         assert np.isclose(poly.volume, 1.0, atol=1e-10)
         assert len(poly.vertices) == 16
+        # 58 triangulated rows share 8 face hyperplanes
+        assert len(poly.facet_normals) == 8
 
     def test_vertex_inequalities_hold(self):
         rng = np.random.default_rng(3)
@@ -151,6 +153,23 @@ class TestVolume:
             Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
             rotated = convex_hull(pts @ Q.T, d).volume
             assert abs(rotated - base) <= 1e-9 * max(1.0, base)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_translation_invariance(self, d):
+        rng = np.random.default_rng(20 + d)
+        for _ in range(5):
+            pts = rng.standard_normal((30, d))
+            for offset in (1e3, 1e5, 1e6, 1e7):
+                shift = offset * rng.choice([-1.0, 1.0], d) * rng.uniform(0.5, 1.0, d)
+                moved = pts + shift
+                # moved - shift is exact (Sterbenz), so both hulls see the same cloud
+                base = convex_hull(moved - shift, d).volume
+                assert abs(convex_hull(moved, d).volume - base) <= 1e-9 * base
+
+    def test_unit_square_far_from_origin(self):
+        poly = convex_hull(unit_cube_corners(2) + 1e8, 2)
+        assert not poly.degenerate
+        assert poly.volume == pytest.approx(1.0, rel=1e-12)
 
     def test_monotone_under_point_addition(self):
         rng = np.random.default_rng(7)
