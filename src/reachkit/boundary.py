@@ -4,6 +4,7 @@ general systems.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,8 @@ from .geometry import Polytope, convex_hull
 from .lti import (
     LtiSystem,
     PiecewiseConstantControl,
+    _grid_block,
+    _grid_factors,
     classify_spectrum,
     expm_grid,
     matrix_exponential,
@@ -34,8 +37,15 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# bracket scan resolution for locating switching-function zeros
-SCAN_RESOLUTION = 1e-6
+# bang_bang_control's bracket grid: intervals per unit of ||A||_1 T plus
+# T max|Im lambda| / pi, clamped to [64, 2^16], and the refinement used when
+# a real spectrum shows more sign changes than its n - 1 zeros allow
+GRID_INTERVALS_PER_UNIT = 32
+MIN_GRID_INTERVALS = 64
+MAX_GRID_INTERVALS = 2**16
+RESCAN_FACTOR = 16
+# nodes of psi that switch_count forms at a time (64 anchor rows at 1e6 nodes)
+BLOCK_NODES = 2**16
 
 
 @dataclass
@@ -118,11 +128,18 @@ def _refine_zero(sys, c, T, i, a, b):
     if fb == 0.0:
         return b
     if fa * fb > 0.0:
-        logger.warning(
-            "channel %d: grid sign change on [%r, %r] not confirmed by direct "
-            "evaluation (psi %r, %r); using the midpoint", i, a, b, fa, fb,
-        )
-        return 0.5 * (a + b)
+        # The grid's sign at one endpoint was roundoff, so psi vanishes within
+        # roundoff of the endpoint where |psi| is smaller (a zero on a grid
+        # node): bracket it with the node one bracket width beyond.
+        near, f_near, far = (a, fa, 2.0 * a - b) if abs(fa) < abs(fb) else (b, fb, 2.0 * b - a)
+        if 0.0 <= far <= T and f(far) * f_near < 0.0:
+            a, b = min(near, far), max(near, far)
+        else:
+            logger.warning(
+                "channel %d: grid sign change on [%r, %r] not confirmed by direct "
+                "evaluation (psi %r, %r); using the midpoint", i, a, b, fa, fb,
+            )
+            return 0.5 * (a + b)
     return float(brentq(f, a, b, xtol=1e-15, rtol=4.0 * np.finfo(float).eps))
 
 
@@ -136,31 +153,57 @@ def _channel_sign_changes(values: np.ndarray):
     return [(int(nz[j]), int(nz[j + 1])) for j in np.flatnonzero(negative[1:] != negative[:-1])]
 
 
+def _grid_brackets(sys: LtiSystem, c, T: float, intervals: int):
+    """Per channel, the (a, b) time brackets of psi's sign changes on
+    linspace(0, T, intervals + 1)."""
+    psi = _switching_grid(sys, c, T, intervals + 1)
+    # the times of the grid, without forming the whole grid
+    node = lambda j: T if j == intervals else j * (T / intervals)
+    return [[(node(j), node(k)) for j, k in _channel_sign_changes(psi[:, i])]
+            for i in range(sys.m)]
+
+
 def bang_bang_control(
-    sys: LtiSystem, bounds: ControlBounds, c, T: float, scan_resolution: float = SCAN_RESOLUTION
+    sys: LtiSystem, bounds: ControlBounds, c, T: float, scan_resolution: float | None = None
 ) -> PiecewiseConstantControl:
     """Saturated control selected by the sign of the switching function.
 
     Channel i takes upper[i] where psi_i(t; c) >= 0 and lower[i] elsewhere.
-    Sign changes are bracketed on a uniform scan grid with spacing
-    scan_resolution * T and refined by bisection, so the returned
-    breakpoints are accurate to root-finding precision.
+    Sign changes are bracketed on a uniform grid over [0, T] and refined by
+    brentq, so the returned breakpoints are accurate to root-finding
+    precision. By default the grid has 32 intervals per unit of
+    ||A||_1 T + T max|Im lambda| / pi (between 64 and 2^16), which resolves
+    the fastest rate and every half period of oscillation; an explicit
+    scan_resolution gives intervals of scan_resolution * T instead. On the
+    default grid a real spectrum is checked against the n-intervals bound
+    (Feldbaum): psi_i then has at most n - 1 zeros, and a channel with more
+    sign changes is logged and rescanned on a 16x finer grid.
     """
     c = np.asarray(c, dtype=float)
     if not np.any(c):
         raise ValueError("c must be nonzero")
     if bounds.m != sys.m:
         raise DimensionError(f"bounds have {bounds.m} channels, system has {sys.m}")
-    num = int(round(1.0 / scan_resolution)) + 1
-    psi = _switching_grid(sys, c, T, num)
-    # the times of linspace(0, T, num), without forming the whole grid
-    node = lambda j: T if j == num - 1 else j * (T / (num - 1))
+    if scan_resolution is not None:
+        brackets = _grid_brackets(sys, c, T, int(round(1.0 / scan_resolution)))
+    else:
+        eigenvalues = np.linalg.eigvals(sys.A)
+        scale = np.linalg.norm(sys.A, 1) * T + T * np.max(np.abs(eigenvalues.imag)) / np.pi
+        intervals = min(MAX_GRID_INTERVALS,
+                        max(MIN_GRID_INTERVALS, math.ceil(GRID_INTERVALS_PER_UNIT * scale)))
+        brackets = _grid_brackets(sys, c, T, intervals)
+        most = max(len(pairs) for pairs in brackets)
+        if most > sys.n - 1 and np.all(np.isreal(eigenvalues)):
+            logger.warning(
+                "%d sign changes of psi on %d intervals, above the n - 1 = %d zeros of a "
+                "real spectrum; rescanning on %d intervals", most, intervals, sys.n - 1,
+                RESCAN_FACTOR * intervals,
+            )
+            brackets = _grid_brackets(sys, c, T, RESCAN_FACTOR * intervals)
 
-    switch_times = []
-    for i in range(sys.m):
-        for j, k in _channel_sign_changes(psi[:, i]):
-            switch_times.append(_refine_zero(sys, c, T, i, node(j), node(k)))
-    switch_times = np.array(sorted(switch_times))
+    switch_times = np.array(sorted(
+        _refine_zero(sys, c, T, i, a, b) for i, pairs in enumerate(brackets) for a, b in pairs
+    ))
     if len(switch_times) > 1:
         keep = np.concatenate([[True], np.diff(switch_times) > 1e-12 * max(T, 1.0)])
         switch_times = switch_times[keep]
@@ -177,19 +220,44 @@ def bang_bang_control(
 def switch_count(sys: LtiSystem, c, T: float, grid_points: int) -> SwitchReport:
     """Strict sign changes of each switching-function channel on a grid.
 
-    Channels whose peak magnitude falls below 1e-12 * ||c|| * ||B|| are
-    flagged identically zero and counted as zero switches.
+    The count is over psi on linspace(0, T, grid_points), the nodes of
+    _switching_grid, with zero samples skipped as in _channel_sign_changes.
+    psi is formed in blocks of about 64k nodes from the expm_grid factors, so
+    memory stays flat in grid_points: a block whose channel keeps one sign
+    costs only its max and min, and the sign of the last nonzero sample is
+    carried across block edges. Channels whose peak magnitude falls below
+    1e-12 * ||c|| * ||B|| are flagged identically zero and counted as zero
+    switches.
     """
     if grid_points < 100:
         raise ValueError("grid_points must be >= 100")
     c = np.asarray(c, dtype=float)
-    psi = _switching_grid(sys, c, T, grid_points)
-    zero_scale = 1e-12 * np.linalg.norm(c) * np.linalg.norm(sys.B, 2)
-    identically_zero = np.maximum(psi.max(axis=0), -psi.min(axis=0)) < zero_scale
+    # nodes run from t = T back to t = 0; a sign-change count has no direction
+    anchors, powers, _ = _grid_factors(sys.A, T, 0.0, grid_points, left=c, right=sys.B)
+    width = len(powers)
+    rows = max(1, BLOCK_NODES // width)
+    peak = np.zeros(sys.m)
     counts = np.zeros(sys.m, dtype=int)
-    for i in range(sys.m):
-        if not identically_zero[i]:
-            counts[i] = len(_channel_sign_changes(psi[:, i]))
+    last_negative = [None] * sys.m
+    for row in range(0, len(anchors), rows):
+        psi = _grid_block(anchors[row:row + rows], powers)[: grid_points - row * width, 0]
+        high, low = psi.max(axis=0), psi.min(axis=0)
+        peak = np.maximum(peak, np.maximum(high, -low))
+        for i in range(sys.m):
+            if low[i] > 0.0 or high[i] < 0.0:
+                first = last = bool(high[i] < 0.0)
+            else:
+                column = psi[:, i]
+                negative = np.signbit(column[column != 0.0])
+                if len(negative) == 0:
+                    continue
+                counts[i] += np.count_nonzero(negative[1:] != negative[:-1])
+                first, last = bool(negative[0]), bool(negative[-1])
+            counts[i] += last_negative[i] is not None and last_negative[i] != first
+            last_negative[i] = last
+    zero_scale = 1e-12 * np.linalg.norm(c) * np.linalg.norm(sys.B, 2)
+    identically_zero = peak < zero_scale
+    counts[identically_zero] = 0
     return SwitchReport(
         sign_changes=counts, identically_zero=identically_zero, grid_points=grid_points
     )

@@ -141,15 +141,59 @@ def _doubling_table(A: np.ndarray, step: float, count: int) -> np.ndarray:
 
     Entry r is the product of the direct exponentials e^{A 2^j step} over
     the set bits j of r, so no entry carries more than log2(count) factors.
+    Those exponentials come from one stacked expm call.
     """
     table = np.empty((count, A.shape[0], A.shape[0]))
     table[0] = np.eye(A.shape[0])
-    size = 1
-    while size < count:
+    levels = (count - 1).bit_length()
+    if levels == 0:
+        return table
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _scipy_expm(np.multiply.outer(step * 2.0 ** np.arange(levels), A))
+    if not np.all(np.isfinite(powers)):
+        raise NumericRangeError(f"exp(A t) overflowed for |t| = {abs(step) * 2 ** (levels - 1)}")
+    for j in range(levels):
+        size = 1 << j
         top = min(2 * size, count)
-        np.matmul(table[: top - size], matrix_exponential(A, size * step), out=table[size:top])
-        size *= 2
+        np.matmul(table[: top - size], powers[j], out=table[size:top])
     return table
+
+
+def _grid_factors(A, t0: float, t1: float, num: int, left=None, right=None):
+    """Factors of left @ e^{A t} @ right on linspace(t0, t1, num); see expm_grid.
+
+    Returns (anchors, powers, forward): anchors is (count, p, n) and powers
+    is (width, n, q), and node k of the grid run from its end nearest t = 0
+    is anchors[k // width] @ powers[k % width]. forward is False when that
+    end is t1, so the caller reverses the nodes to get linspace order.
+    """
+    A = np.ascontiguousarray(A, dtype=float)
+    if num < 1:
+        raise ValueError("num must be >= 1")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("t0 and t1 must be finite")
+    start, end = (t0, t1) if num == 1 or abs(t0) <= abs(t1) else (t1, t0)
+    # the direct exponential also validates A before the stacked expm sees it
+    base = matrix_exponential(A, start)
+    step = (end - start) / (num - 1) if num > 1 else 0.0
+    width = 1 << math.ceil(math.log2(num) / 2)
+    count = -(-num // width)
+    powers = _doubling_table(A, step, width)
+    anchors = base @ _doubling_table(A, width * step, count)
+    if left is not None:
+        anchors = np.atleast_2d(np.asarray(left, dtype=float)) @ anchors
+    if right is not None:
+        right = np.asarray(right, dtype=float)
+        powers = powers @ (right[:, None] if right.ndim == 1 else right)
+    return anchors, powers, start == t0
+
+
+def _grid_block(anchors: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Every anchor-by-power node as one GEMM, shape (len(anchors) * width, p, q)."""
+    count, p, n = anchors.shape
+    width, _, q = powers.shape
+    out = anchors.reshape(-1, n) @ powers.transpose(1, 0, 2).reshape(n, -1)
+    return out.reshape(count, p, width, q).transpose(0, 2, 1, 3).reshape(-1, p, q)
 
 
 def expm_grid(A, t0: float, t1: float, num: int, *, left=None, right=None) -> np.ndarray:
@@ -168,25 +212,9 @@ def expm_grid(A, t0: float, t1: float, num: int, *, left=None, right=None) -> np
     folded into the tables, and one GEMM of (num/L * p, n) by (n, L * q)
     gives every node without forming (num, n, n). Nothing is cached.
     """
-    A = np.ascontiguousarray(A, dtype=float)
-    if num < 1:
-        raise ValueError("num must be >= 1")
-    n = A.shape[0]
-    start, end = (t0, t1) if num == 1 or abs(t0) <= abs(t1) else (t1, t0)
-    step = (end - start) / (num - 1) if num > 1 else 0.0
-    width = 1 << math.ceil(math.log2(num) / 2)
-    count = -(-num // width)
-    powers = _doubling_table(A, step, width)
-    anchors = matrix_exponential(A, start) @ _doubling_table(A, width * step, count)
-    if left is not None:
-        anchors = np.atleast_2d(np.asarray(left, dtype=float)) @ anchors
-    if right is not None:
-        right = np.asarray(right, dtype=float)
-        powers = powers @ (right[:, None] if right.ndim == 1 else right)
-    p, q = anchors.shape[1], powers.shape[2]
-    out = anchors.reshape(-1, n) @ powers.transpose(1, 0, 2).reshape(n, -1)
-    out = out.reshape(count, p, width, q).transpose(0, 2, 1, 3).reshape(-1, p, q)[:num]
-    return out if start == t0 else out[::-1]
+    anchors, powers, forward = _grid_factors(A, t0, t1, num, left, right)
+    out = _grid_block(anchors, powers)[:num]
+    return out if forward else out[::-1]
 
 
 def convolution_integral(sys: LtiSystem, T: float, t0: float, t1: float) -> np.ndarray:

@@ -18,7 +18,8 @@ from reachkit import (
     switch_count,
     switching_function,
 )
-from reachkit.boundary import _channel_sign_changes, _refine_zero
+from reachkit import boundary
+from reachkit.boundary import _channel_sign_changes, _refine_zero, _switching_grid
 from reachkit.errors import DimensionError, UnsupportedConfigurationError
 
 from helpers import demo_system, eig_expm, random_bang_bang, random_planar_real_distinct
@@ -115,6 +116,131 @@ class TestBangBangControl:
             assert np.max(competitors @ c) <= c @ best + 1e-6
 
 
+def random_basis(n, rng, cond_cap=30.0):
+    """Random unit-column n-by-n basis with condition number <= cond_cap."""
+    while True:
+        V = rng.standard_normal((n, n))
+        V /= np.linalg.norm(V, axis=0)
+        if np.linalg.cond(V) <= cond_cap:
+            return V
+
+
+def modal_system(D, rng, m=1):
+    """A = V D V^-1 for a random basis V, with unit B columns."""
+    V = random_basis(len(D), rng)
+    B = rng.standard_normal((len(D), m))
+    return LtiSystem(V @ D @ np.linalg.inv(V), B / np.linalg.norm(B, axis=0))
+
+
+SCAN_CLASSES = ("real-distinct", "oscillatory", "saddle", "stiff")
+
+
+def scan_class_system(cls, rng):
+    """Planar single-input system of one of the switch-scan spectrum classes."""
+    if cls == "real-distinct":
+        D = np.diag([rng.uniform(-2.0, -0.2), rng.uniform(0.2, 2.0)])
+    elif cls == "oscillatory":
+        mu, om = rng.uniform(-1.0, 0.5), rng.uniform(2.0, 12.0)
+        D = np.array([[mu, om], [-om, mu]])
+    elif cls == "saddle":
+        D = np.diag([rng.uniform(15.0, 40.0), -rng.uniform(15.0, 40.0)]) / 2.0
+    else:
+        D = np.diag([-rng.uniform(15.0, 40.0), rng.uniform(-2.0, 0.5)])
+    return modal_system(D, rng)
+
+
+def system_with_zeros(lam, zeros, rng, T=1.0):
+    """Single-input system with real spectrum lam and a costate c whose psi
+    vanishes exactly at t = zeros (len(lam) - 1 of them, the most a real
+    spectrum allows)."""
+    lam = np.asarray(lam, dtype=float)
+    # psi(T - s) = sum_k a_k e^{lam_k s}; a spans the null space at the zeros
+    a = np.linalg.svd(np.exp(np.multiply.outer(T - np.asarray(zeros), lam)))[2][-1]
+    V = random_basis(len(lam), rng)
+    B = rng.standard_normal(len(lam))
+    c = np.linalg.solve(V.T, a / np.linalg.solve(V, B))
+    return LtiSystem(V @ np.diag(lam) @ np.linalg.inv(V), B[:, None]), c
+
+
+def assert_matches_fine_scan(sys, bounds, c, T=1.0):
+    got = bang_bang_control(sys, bounds, c, T)
+    want = bang_bang_control(sys, bounds, c, T, scan_resolution=1e-6)
+    assert len(got.switch_times) == len(want.switch_times)
+    if len(want.switch_times):
+        assert np.max(np.abs(got.switch_times - want.switch_times)) <= 1e-12
+    assert np.array_equal(got.values, want.values)
+    return got
+
+
+class TestSpectralBracketGrid:
+    @pytest.mark.parametrize("cls", SCAN_CLASSES)
+    def test_matches_million_node_scan(self, cls):
+        rng = np.random.default_rng(SCAN_CLASSES.index(cls))
+        bounds = ControlBounds(lower=[-0.7], upper=[1.3])
+        switches = 0
+        for _ in range(3):
+            sys = scan_class_system(cls, rng)
+            for angle in rng.uniform(0.0, 2.0 * np.pi, 3):
+                c = np.array([np.cos(angle), np.sin(angle)])
+                switches += len(assert_matches_fine_scan(sys, bounds, c).switch_times)
+        assert switches > 0
+
+    @pytest.mark.parametrize("lam, zeros", [
+        ([-1.5, 0.3, 1.8], [0.3, 0.7]),
+        ([-2.0, -0.4, 0.9, 1.7], [0.2, 0.5, 0.85]),
+    ], ids=["n3", "n4"])
+    def test_real_spectrum_with_n_minus_1_switches(self, lam, zeros):
+        rng = np.random.default_rng(len(lam))
+        sys, c = system_with_zeros(lam, zeros, rng)
+        u = assert_matches_fine_scan(sys, UNIT_BOUNDS, c)
+        assert np.max(np.abs(u.switch_times - zeros)) <= 1e-9
+
+    def test_two_inputs(self):
+        rng = np.random.default_rng(8)
+        bounds = ControlBounds(lower=[-1.0, -0.5], upper=[1.0, 2.0])
+        oscillating = np.array([[-0.2, 6.0, 0.0], [-6.0, -0.2, 0.0], [0.0, 0.0, 1.0]])
+        for D in (np.diag([-3.0, -1.0, 0.5]), oscillating):
+            sys = modal_system(D, rng, m=2)
+            for _ in range(3):
+                assert_matches_fine_scan(sys, bounds, rng.standard_normal(3))
+
+    def test_count_above_bound_rescans(self, monkeypatch, caplog):
+        # a bracket grid whose samples roundoff flipped: two spurious sign
+        # changes on a planar real spectrum, which allows one
+        sys, c = demo_system(), np.array([-1.0, 2.0])
+        dense = _switching_grid
+        calls = []
+
+        def flipped(*args):
+            psi = dense(*args)
+            calls.append(len(psi))
+            if len(calls) == 1:
+                psi = psi.copy()
+                psi[len(psi) // 4] *= -1.0
+            return psi
+
+        monkeypatch.setattr(boundary, "_switching_grid", flipped)
+        with caplog.at_level("WARNING", logger="reachkit.boundary"):
+            got = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0)
+        assert "above the n - 1 = 1 zeros" in caplog.text
+        assert calls == [calls[0], 16 * (calls[0] - 1) + 1]
+        monkeypatch.undo()
+        want = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0, scan_resolution=1e-6)
+        assert len(got.switch_times) == len(want.switch_times) == 1
+        assert abs(got.switch_times[0] - want.switch_times[0]) <= 1e-12
+
+    def test_grid_is_sized_from_the_spectrum(self, monkeypatch):
+        nodes = []
+        dense = _switching_grid
+        monkeypatch.setattr(boundary, "_switching_grid",
+                            lambda *args: nodes.append(args[3]) or dense(*args))
+        bang_bang_control(demo_system(), UNIT_BOUNDS, [1.0, -1.0], 1.0)
+        oscillator = LtiSystem([[0.0, 100.0], [-100.0, 0.0]], [[0.0], [1.0]])
+        bang_bang_control(oscillator, UNIT_BOUNDS, [1.0, 0.0], 1.0)
+        # 64 intervals at the floor; 32 * (100 + 100 / pi) for the oscillator
+        assert nodes == [65, 4220]
+
+
 class TestSwitchCount:
     def test_demo_random_c_at_most_one(self):
         sys = demo_system()
@@ -153,6 +279,66 @@ class TestSwitchCount:
                 c = rng.standard_normal(2)
                 report = switch_count(sys, c, 1.0, 10_000)
                 assert report.sign_changes[0] <= 1
+
+
+def dense_switch_count(sys, c, T, grid_points):
+    """switch_count from the whole psi grid at once: the reference."""
+    psi = _switching_grid(sys, c, T, grid_points)
+    zero_scale = 1e-12 * np.linalg.norm(c) * np.linalg.norm(sys.B, 2)
+    identically_zero = np.maximum(psi.max(axis=0), -psi.min(axis=0)) < zero_scale
+    counts = [0 if identically_zero[i] else len(_channel_sign_changes(psi[:, i]))
+              for i in range(sys.m)]
+    return counts, identically_zero.tolist()
+
+
+class TestBlockedSwitchCount:
+    def assert_matches_dense(self, sys, c, T, grid_points):
+        report = switch_count(sys, c, T, grid_points)
+        counts, identically_zero = dense_switch_count(sys, c, T, grid_points)
+        assert report.sign_changes.tolist() == counts
+        assert report.identically_zero.tolist() == identically_zero
+        return report
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(41)
+        changes = 0
+        for n, m in ((2, 1), (3, 1), (3, 2), (4, 2)):
+            for om in (0.0, 40.0, 300.0):
+                D = np.diag(rng.uniform(-3.0, 2.0, n))
+                D[0, 1], D[1, 0] = om, -om
+                sys = modal_system(D, rng, m=m)
+                for grid_points in (100, 4099, 65537, 200_001):
+                    report = self.assert_matches_dense(sys, rng.standard_normal(n), 1.0,
+                                                       grid_points)
+                    changes += int(report.sign_changes.sum())
+        assert changes > 1000
+
+    @pytest.mark.parametrize("grid_points", [1_000_001, 1_048_577, 999_983])
+    def test_grids_not_a_multiple_of_the_block(self, grid_points):
+        sys = LtiSystem([[-0.3, 150.0], [-150.0, -0.3]], [[0.0], [1.0]])
+        report = self.assert_matches_dense(sys, np.array([1.0, 0.4]), 1.0, grid_points)
+        assert report.sign_changes[0] > 40
+
+    def test_zeros_and_negative_zeros_on_nodes(self):
+        # A = 0: psi is c B on every node, +0.0 or -0.0 in the orthogonal channels
+        zero = LtiSystem(np.zeros((2, 2)), [[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        for c in ([-1.0, 0.0], [0.0, -2.0], [1.0, 1.0]):
+            self.assert_matches_dense(zero, np.array(c), 1.0, 1001)
+        # nilpotent A: psi(t) = c1 (b1 + (1 - t) b2) + c2 b2 is exact on the
+        # dyadic nodes, so it vanishes exactly at the nodes t = 0.5 and 0.25
+        nilpotent = LtiSystem([[0.0, 1.0], [0.0, 0.0]], [[-0.5, -0.75, 0.0], [1.0, 1.0, 0.0]])
+        report = self.assert_matches_dense(nilpotent, np.array([1.0, 0.0]), 1.0, 2**16 + 1)
+        psi = _switching_grid(nilpotent, np.array([1.0, 0.0]), 1.0, 2**16 + 1)
+        assert np.count_nonzero(psi[:, :2] == 0.0) == 2
+        assert report.sign_changes.tolist() == [1, 1, 0]
+        assert report.identically_zero.tolist() == [False, False, True]
+
+    def test_two_inputs_with_an_identically_zero_channel(self):
+        sys = LtiSystem([[-1.0, 20.0, 0.0], [-20.0, -1.0, 0.0], [0.0, 0.0, 0.5]],
+                        [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        report = self.assert_matches_dense(sys, np.array([1.0, 0.5, 0.0]), 1.0, 300_007)
+        assert report.identically_zero.tolist() == [False, True]
+        assert report.sign_changes[0] >= 5 and report.sign_changes[1] == 0
 
 
 def sign_changes_by_sign_product(values):
@@ -201,6 +387,16 @@ class TestRefineZero:
         assert abs(t - 1.0) <= 1e-14
         assert caplog.records == []
 
+    def test_zero_on_a_grid_node_is_bracketed_beyond_it(self, caplog):
+        # psi(t) = sin(2 pi (1 - t)) vanishes at t = 0.5; a grid whose sample
+        # at a node just past the zero had the wrong sign brackets it from there
+        w = 2.0 * np.pi
+        sys = LtiSystem([[0.0, w], [-w, 0.0]], [[0.0], [1.0]])
+        with caplog.at_level("WARNING", logger="reachkit.boundary"):
+            t = _refine_zero(sys, np.array([1.0, 0.0]), 1.0, 0, 0.5 + 1e-13, 0.51)
+        assert abs(t - 0.5) <= 1e-14
+        assert caplog.records == []
+
 
 class TestScanMemory:
     def test_switch_scan_never_forms_the_dense_grid(self):
@@ -214,6 +410,18 @@ class TestScanMemory:
             tracemalloc.stop()
         # e^{A t} on every node would take num * n * n * 8 = 32 MB; psi takes 8 MB
         assert peak < 0.5 * num * sys.n * sys.n * 8
+
+    def test_switch_count_holds_no_whole_psi_grid(self):
+        sys, num = demo_system(), 1_000_001
+        switch_count(sys, [1.0, -1.0], 1.0, num)
+        tracemalloc.start()
+        try:
+            switch_count(sys, [1.0, -1.0], 1.0, num)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # psi on every node would take num * 8 = 8 MB
+        assert peak < 2 * 2**20
 
 
 class TestBoundaryCurve:

@@ -13,6 +13,7 @@ from reachkit import (
     simulate,
 )
 from reachkit.errors import DimensionError, IntervalError, NumericRangeError
+from reachkit.lti import _doubling_table
 
 from helpers import (
     DEMO_EIG_FAST,
@@ -113,6 +114,36 @@ class TestExpmGrid:
         sys = demo_system()
         grid = expm_grid(sys.A, 0.5, 0.5, 1)
         assert np.allclose(grid[0], eig_expm(sys.A, 0.5), atol=1e-13)
+
+
+def doubling_table_by_level(A, step, count):
+    """The doubling table with one matrix_exponential call per level: the reference."""
+    table = np.empty((count, len(A), len(A)))
+    table[0] = np.eye(len(A))
+    size = 1
+    while size < count:
+        top = min(2 * size, count)
+        np.matmul(table[: top - size], matrix_exponential(A, size * step), out=table[size:top])
+        size *= 2
+    return table
+
+
+class TestDoublingTable:
+    def test_stacked_expm_matches_per_level_calls_exactly(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            A = rng.standard_normal((n, n)) * rng.uniform(0.1, 30.0)
+            step = rng.uniform(1e-6, 1e-2) * rng.choice([-1.0, 1.0])
+            for count in (1, 2, 3, 17, 32, 33, 1001):
+                assert np.array_equal(_doubling_table(A, step, count),
+                                      doubling_table_by_level(A, step, count))
+
+    def test_overflow_raises(self):
+        with pytest.raises(NumericRangeError):
+            _doubling_table(np.diag([1000.0, 1000.0]), 1.0, 4)
+        with pytest.raises(NumericRangeError):
+            expm_grid(np.diag([1000.0, 1000.0]), 0.0, 1000.0, 5)
 
 
 # saddle, stiff, oscillatory and non-normal spectra with ||A|| T up to 200
