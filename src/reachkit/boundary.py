@@ -153,14 +153,21 @@ def _channel_sign_changes(values: np.ndarray):
     return [(int(nz[j]), int(nz[j + 1])) for j in np.flatnonzero(negative[1:] != negative[:-1])]
 
 
+def _zero_scale(sys: LtiSystem, c: np.ndarray) -> float:
+    """Peak |psi| below which a channel is identically zero up to roundoff."""
+    return 1e-12 * np.linalg.norm(c) * np.linalg.norm(sys.B, 2)
+
+
 def _grid_brackets(sys: LtiSystem, c, T: float, intervals: int):
     """Per channel, the (a, b) time brackets of psi's sign changes on
-    linspace(0, T, intervals + 1)."""
+    linspace(0, T, intervals + 1), and which channels are identically zero
+    there; those channels get no brackets, since their signs are roundoff."""
     psi = _switching_grid(sys, c, T, intervals + 1)
+    zero = np.max(np.abs(psi), axis=0) < _zero_scale(sys, c)
     # the times of the grid, without forming the whole grid
     node = lambda j: T if j == intervals else j * (T / intervals)
-    return [[(node(j), node(k)) for j, k in _channel_sign_changes(psi[:, i])]
-            for i in range(sys.m)]
+    return [[] if zero[i] else [(node(j), node(k)) for j, k in _channel_sign_changes(psi[:, i])]
+            for i in range(sys.m)], zero
 
 
 def bang_bang_control(
@@ -177,7 +184,10 @@ def bang_bang_control(
     scan_resolution gives intervals of scan_resolution * T instead. On the
     default grid a real spectrum is checked against the n-intervals bound
     (Feldbaum): psi_i then has at most n - 1 zeros, and a channel with more
-    sign changes is logged and rescanned on a 16x finer grid.
+    sign changes is logged and rescanned on a 16x finer grid. A channel
+    whose peak |psi| on the grid is below 1e-12 * ||c|| * ||B|| is
+    identically zero, as in switch_count: it has no switches and holds
+    upper[i].
     """
     c = np.asarray(c, dtype=float)
     if not np.any(c):
@@ -185,13 +195,13 @@ def bang_bang_control(
     if bounds.m != sys.m:
         raise DimensionError(f"bounds have {bounds.m} channels, system has {sys.m}")
     if scan_resolution is not None:
-        brackets = _grid_brackets(sys, c, T, int(round(1.0 / scan_resolution)))
+        brackets, zero = _grid_brackets(sys, c, T, int(round(1.0 / scan_resolution)))
     else:
         eigenvalues = np.linalg.eigvals(sys.A)
         scale = np.linalg.norm(sys.A, 1) * T + T * np.max(np.abs(eigenvalues.imag)) / np.pi
         intervals = min(MAX_GRID_INTERVALS,
                         max(MIN_GRID_INTERVALS, math.ceil(GRID_INTERVALS_PER_UNIT * scale)))
-        brackets = _grid_brackets(sys, c, T, intervals)
+        brackets, zero = _grid_brackets(sys, c, T, intervals)
         most = max(len(pairs) for pairs in brackets)
         if most > sys.n - 1 and np.all(np.isreal(eigenvalues)):
             logger.warning(
@@ -199,7 +209,7 @@ def bang_bang_control(
                 "real spectrum; rescanning on %d intervals", most, intervals, sys.n - 1,
                 RESCAN_FACTOR * intervals,
             )
-            brackets = _grid_brackets(sys, c, T, RESCAN_FACTOR * intervals)
+            brackets, zero = _grid_brackets(sys, c, T, RESCAN_FACTOR * intervals)
 
     switch_times = np.array(sorted(
         _refine_zero(sys, c, T, i, a, b) for i, pairs in enumerate(brackets) for a, b in pairs
@@ -213,7 +223,7 @@ def bang_bang_control(
     values = np.empty((len(mids), sys.m))
     for k, tm in enumerate(mids):
         psi_mid = switching_function(sys, c, T, tm)
-        values[k] = np.where(psi_mid >= 0.0, bounds.upper, bounds.lower)
+        values[k] = np.where((psi_mid >= 0.0) | zero, bounds.upper, bounds.lower)
     return PiecewiseConstantControl(switch_times=switch_times, values=values, horizon=T)
 
 
@@ -255,8 +265,7 @@ def switch_count(sys: LtiSystem, c, T: float, grid_points: int) -> SwitchReport:
                 first, last = bool(negative[0]), bool(negative[-1])
             counts[i] += last_negative[i] is not None and last_negative[i] != first
             last_negative[i] = last
-    zero_scale = 1e-12 * np.linalg.norm(c) * np.linalg.norm(sys.B, 2)
-    identically_zero = peak < zero_scale
+    identically_zero = peak < _zero_scale(sys, c)
     counts[identically_zero] = 0
     return SwitchReport(
         sign_changes=counts, identically_zero=identically_zero, grid_points=grid_points

@@ -186,20 +186,55 @@ def _certify(sys: LtiSystem, spec: LpSpec, grid, nodes: int):
     return grid, kernels, lam_norms <= _radius(kernels[0], kernels[2], spec) * spec.budget**spec.p
 
 
+def _directions(grid: np.ndarray):
+    """The rows that stand for the grid's distinct directions, each row's
+    direction, and each row's size relative to the row of its direction.
+
+    A row shares the direction of the first row of its run in
+    lexicographic order of rows scaled to max-norm 1 when each scaled
+    component agrees with that row's to 4 eps relative, so zero components
+    must be exactly zero and a negative multiple stays apart. Zero rows
+    share the zero direction. The first row of each direction has size
+    exactly 1, so a grid with no shared direction is swept row by row.
+    """
+    norms = np.max(np.abs(grid), axis=1)
+    norms[norms == 0.0] = 1.0
+    unit = grid / norms[:, None]
+    # signs first: sorting on the values alone puts (a, -b) between rows of (a, b)
+    order = np.lexsort(np.vstack([np.sign(unit).T, unit.T])[::-1])
+    s, rows = unit[order], np.arange(len(grid))
+
+    def close(a, b):
+        return np.all(np.abs(a - b) <= 4.0 * np.finfo(float).eps * np.abs(b), axis=1)
+
+    start = np.ones(len(s), dtype=bool)
+    start[1:] = ~close(s[1:], s[:-1])
+    lead = np.maximum.accumulate(np.where(start, rows, 0))
+    # a row that drifted beyond 4 eps of its run's first row keeps its own direction
+    lead = np.where(close(s, s[lead]), lead, rows)
+    owner = np.empty_like(order)
+    owner[order] = order[lead]
+    firsts, member = np.unique(owner, return_inverse=True)
+    return firsts, member, norms / norms[owner]
+
+
 def _sweep(spec: LpSpec, grid, kernels, certified) -> LpReachCloud:
     pullback, pushforward, weights = kernels
     nodes, m, n = pullback.shape
+    # homogeneity: alpha lambda0 has alpha^(1/(p-1)) times the endpoint of
+    # lambda0 and alpha^q times its cost, so each direction is swept once
+    firsts, member, size = _directions(grid)
     # column j * m + i of z and u holds node j, channel i
-    z = grid @ pullback.transpose(2, 0, 1).reshape(n, nodes * m)
+    z = grid[firsts] @ pullback.transpose(2, 0, 1).reshape(n, nodes * m)
     u = _signed_root(z, spec.p)
     weighted = (weights[:, None, None] * pushforward).transpose(0, 2, 1).reshape(nodes * m, n)
     samples = np.recarray(len(grid), dtype=[
         ("lambda0", float, (n,)), ("endpoint", float, (n,)), ("cost_p", float),
         ("reachable", bool), ("within_prop2_bound", bool)])
     samples.lambda0 = grid
-    samples.endpoint = u @ weighted
+    samples.endpoint = (u @ weighted)[member] * (size ** (1.0 / (spec.p - 1)))[:, None]
     # |u|^p = u z, since u has the sign of z and |u|^(p-1) = |z|
-    samples.cost_p = np.multiply(u, z, out=z) @ np.repeat(weights, m)
+    samples.cost_p = (np.multiply(u, z, out=z) @ np.repeat(weights, m))[member] * size**spec.q
     samples.reachable = samples.cost_p <= spec.budget**spec.p + REACHABLE_SLACK
     samples.within_prop2_bound = certified
     return LpReachCloud(samples, spec, _build_hull(samples.endpoint[samples.reachable], n))
@@ -209,10 +244,16 @@ def sample_reach(sys: LtiSystem, spec: LpSpec, grid, nodes: int = DEFAULT_NODES)
     """Sweep a costate grid and label endpoints by optimal signal cost.
 
     Endpoints and costs come from composite Simpson quadrature of the
-    closed-form control, as two GEMMs over the whole grid: costates by
-    pullback gives z, and its odd root u by the weighted pushforward gives
-    the endpoints; the costs are u . z. The hull is built over the
-    budget-feasible endpoints only.
+    closed-form control, as two GEMMs over the distinct directions of the
+    grid: one costate per direction by pullback gives z, and its odd root
+    u by the weighted pushforward gives the endpoints; the costs are
+    u . z. By costate homogeneity the costate alpha lambda0 has
+    alpha^(1/(p-1)) times the endpoint of lambda0 and alpha^q times its
+    cost. Rows share a direction when they are positive multiples of one
+    another to 4 eps relative in every component, with zero components
+    exactly zero; a zero row gets endpoint 0 and cost 0. samples keeps
+    one record per row, with lambda0 the row as given. The hull is built
+    over the budget-feasible endpoints only.
     """
     return _sweep(spec, *_certify(sys, spec, grid, nodes))
 
@@ -223,7 +264,10 @@ def inner_approx(sys: LtiSystem, spec: LpSpec, grid, nodes: int = DEFAULT_NODES)
     Every surviving sample is guaranteed budget-feasible, so the resulting
     cloud is an inner approximation of the reachable set. An empty filter
     result is valid and produces an empty cloud. The quadrature kernels
-    are built once and serve both the filter and the sweep.
+    are built once and serve both the filter and the sweep, which sweeps
+    each direction of the certified rows once, as in sample_reach:
+    positive multiples to 4 eps relative in every component, with zero
+    components exactly zero, share one direction.
     """
     grid, kernels, certified = _certify(sys, spec, grid, nodes)
     return _sweep(spec, grid[certified], kernels, certified[certified])

@@ -241,6 +241,39 @@ class TestSpectralBracketGrid:
         assert nodes == [65, 4220]
 
 
+class TestIdenticallyZeroChannel:
+    @staticmethod
+    def decoupled_system():
+        # B = v_1 and c the left eigenvector of -3, so c e^{As} B = 0 exactly
+        V = np.array([[1.0, 0.4], [0.7, -1.3]])
+        A = V @ np.diag([-1.0, -3.0]) @ np.linalg.inv(V)
+        c = np.linalg.inv(V)[1]
+        return LtiSystem(A, V[:, :1]), c
+
+    @pytest.mark.parametrize("scan_resolution", [None, 1e-4])
+    def test_no_switches_no_warning_and_upper(self, scan_resolution, caplog):
+        sys, c = self.decoupled_system()
+        psi = _switching_grid(sys, c, 1.0, 1001)
+        assert 0.0 < np.max(np.abs(psi)) < 1e-13
+        assert _channel_sign_changes(psi[:, 0])  # the roundoff signs do change
+        bounds = ControlBounds(lower=[-0.5], upper=[2.0])
+        with caplog.at_level("WARNING", logger="reachkit.boundary"):
+            u = bang_bang_control(sys, bounds, c, 1.0, scan_resolution=scan_resolution)
+        assert caplog.records == []
+        assert len(u.switch_times) == 0
+        assert u.values.tolist() == [[2.0]]
+        assert switch_count(sys, c, 1.0, 1001).identically_zero.tolist() == [True]
+
+    def test_live_channel_beside_a_zero_one(self):
+        sys1, c = self.decoupled_system()
+        # c is a left eigenvector, so psi_2 = e^{-3(T - t)} c . b_2 keeps one sign
+        B = np.column_stack([sys1.B[:, 0], [1.0, -2.0]])
+        sys = LtiSystem(sys1.A, B)
+        bounds = ControlBounds(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        got = assert_matches_fine_scan(sys, bounds, c)
+        assert np.all(got.values[:, 0] == 1.0)
+
+
 class TestSwitchCount:
     def test_demo_random_c_at_most_one(self):
         sys = demo_system()

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachkit import (
     ControlBounds,
@@ -20,7 +22,7 @@ from reachkit import (
     reachability_gramian,
     sample_reach,
 )
-from reachkit.lpreach import _quadrature_kernels, _sphere_directions, simpson_weights
+from reachkit.lpreach import _directions, _quadrature_kernels, _sphere_directions, simpson_weights
 
 from helpers import (
     demo_system,
@@ -310,6 +312,96 @@ class TestSweepKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * len(grid) * nodes * sys.m * 8
+
+
+def spectrum_system(rng, cls, n, m):
+    """A = V D V^-1 with a random well-conditioned basis and a spectrum of one
+    class: real, saddle (+-rate pair), stiff (one fast mode) or oscillatory."""
+    lam = list(rng.uniform(-2.0, 2.0, n))
+    if cls == "saddle":
+        rate = rng.uniform(5.0, 15.0)
+        lam[:2] = [rate, -rate]
+    elif cls == "stiff":
+        lam[0] = -rng.uniform(20.0, 40.0)
+    D = np.diag(lam)
+    if cls == "oscillatory":
+        omega = rng.uniform(2.0, 12.0)
+        D[:2, :2] = [[lam[0], omega], [-omega, lam[0]]]
+    while True:
+        V = rng.standard_normal((n, n))
+        if np.linalg.cond(V) <= 30.0:
+            break
+    return LtiSystem(V @ D @ np.linalg.inv(V), rng.standard_normal((n, m)))
+
+
+class TestSharedDirectionSweep:
+    """Rows that are positive multiples of one direction share its sweep."""
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
+           m=st.sampled_from([1, 2]), p=st.sampled_from([2, 4, 6]),
+           cls=st.sampled_from(["real", "saddle", "stiff", "oscillatory"]))
+    def test_matches_einsum_row_by_row(self, seed, n, m, p, cls):
+        rng = np.random.default_rng(seed)
+        sys = spectrum_system(rng, cls, n, m)
+        magnitudes = np.sort(rng.uniform(0.05, 20.0, int(rng.integers(1, 6))))
+        grid = costate_grid(n, magnitudes, int(rng.integers(1, 24)))
+        spec, nodes = LpSpec(p=p, T=1.0), 201
+        got_ends, got_costs = sweep_arrays(sample_reach(sys, spec, grid, nodes))
+        ends, costs = einsum_sweep(sys, spec, grid, nodes)
+        scale = np.max(np.abs(ends), axis=1, keepdims=True)
+        assert np.all(np.abs(got_ends - ends) <= 1e-12 * scale)
+        assert np.all(np.abs(got_costs - costs) <= 1e-12 * costs)
+
+    def test_near_axis_row_is_not_merged_with_the_axis(self):
+        # (cos pi, sin pi) = (-1, 1.2e-16) is no multiple of -e_1; swept as one,
+        # the saddle's e^{20t} moves its endpoint by 3.9e-8 relative at p = 6
+        tilted = np.array([np.cos(np.pi), np.sin(np.pi)])
+        grid = np.array([[-1.0, 0.0], tilted, 2.0 * tilted])
+        member = _directions(grid)[1]
+        assert member[0] != member[1] and member[1] == member[2]
+        for p in (2, 4, 6):
+            got_ends, got_costs = sweep_arrays(sample_reach(SADDLE, LpSpec(p=p, T=1.0), grid))
+            ends, costs = simpson_reach_oracle(SADDLE, p, 1.0, grid)
+            scale = np.max(np.abs(ends), axis=1, keepdims=True)
+            assert np.all(np.abs(got_ends - ends) <= 1e-10 * scale)
+            assert np.all(np.abs(got_costs - costs) <= 1e-10 * costs)
+
+    def test_zero_row_and_negative_multiple(self):
+        d = np.array([0.6, -0.8])
+        grid = np.array([d, np.zeros(2), -2.0 * d, 3.0 * d, np.zeros(2)])
+        firsts, member, size = _directions(grid)
+        assert member[0] == member[3] and member[1] == member[4]
+        assert len({member[0], member[1], member[2]}) == len(firsts) == 3
+        # the zero rows and -2d stand alone; d and 3d share one row of the two
+        assert size[[1, 2, 4]].tolist() == [1.0, 1.0, 1.0] and (size[0] == 1.0) != (size[3] == 1.0)
+        assert abs(size[3] / size[0] - 3.0) <= 1e-15
+        cloud = sample_reach(demo_system(), SPEC6, grid)
+        assert np.array_equal(cloud.samples.lambda0, grid)
+        for k in (1, 4):
+            assert cloud.samples[k].cost_p == 0.0
+            assert np.array_equal(cloud.samples[k].endpoint, np.zeros(2))
+        got_ends, got_costs = sweep_arrays(cloud)
+        ends, costs = einsum_sweep(demo_system(), SPEC6, grid, 2001)
+        scale = np.max(np.abs(ends), axis=1, keepdims=True)
+        assert np.all(np.abs(got_ends - ends) <= 1e-12 * scale)
+        assert np.all(np.abs(got_costs - costs) <= 1e-12 * costs)
+
+    @pytest.mark.parametrize("p", [2, 6])
+    def test_root_runs_once_per_direction(self, p):
+        # five shells of 153 directions: the per-row sweep held two
+        # (765, nodes * m) arrays, the shared one holds two (153, nodes * m)
+        sys = LtiSystem(demo_system().A, np.eye(2))
+        grid = costate_grid(2, [0.25, 0.5, 1.0, 2.0, 4.0], 150)
+        directions, nodes = len(_directions(grid)[0]), 2001
+        assert directions == 153 and len(grid) == 5 * directions
+        tracemalloc.start()
+        try:
+            samples = sample_reach(sys, LpSpec(p=p, T=1.0), grid, nodes).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * directions * nodes * sys.m * 8 + samples.nbytes
 
 
 class TestProp2Bound:
