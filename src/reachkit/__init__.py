@@ -16,7 +16,6 @@ from .boundary import (
 from .design import (
     DesignProblem,
     DesignVariables,
-    EccentricityConstraint,
     FunctionConstraint,
     GramianTraceConstraint,
     LpVolumeConstraint,

@@ -279,9 +279,9 @@ def boundary_curve(
 
     Sweeps the switch time eta over a uniform grid on [0, T] and evaluates
     both one-switch control patterns through exact convolution integrals:
-    the head int_0^eta e^{A(T - tau)} B dtau is e^{A(T - eta)} F(eta), where
-    F(eta) is the upper-right block of e^{M eta} for M = [[A, B], [0, 0]]
-    (Van Loan), and both factors come from one expm_grid each.
+    the tail int_eta^T e^{A(T - tau)} B dtau is G(T - eta), where G(s) is
+    the upper-right block of e^{M s} for M = [[A, B], [0, 0]] (Van Loan),
+    so one expm_grid call gives every tail, and the head is G(T) - tail.
     Requires a single input channel. Systems outside the planar
     real-distinct-eigenvalue class still produce curves, with exact=False
     marking that the exact-boundary guarantee does not apply.
@@ -304,10 +304,9 @@ def boundary_curve(
     augmented = np.zeros((n + 1, n + 1))
     augmented[:n, :n] = sys.A
     augmented[:n, n:] = sys.B
-    growth = expm_grid(augmented, 0.0, T, n_eta, left=np.eye(n, n + 1), right=np.eye(n + 1)[n])
-    head = (expm_grid(sys.A, T, 0.0, n_eta) @ growth)[:, :, 0]
-    total = head[-1]
-    tail = total - head
+    e_n = np.eye(n + 1)[n]
+    tail = expm_grid(augmented, T, 0.0, n_eta, left=np.eye(n, n + 1), right=e_n)[:, :, 0]
+    head = tail[0] - tail
     g1 = hi * head + lo * tail
     g2 = lo * head + hi * tail
     exact = classify_spectrum(sys).is_planar_real_distinct

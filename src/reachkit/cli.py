@@ -22,6 +22,10 @@ import numpy as np
 
 from .boundary import ControlBounds, boundary_curve, boundary_curve_to_csv, reach_hull_planar
 from .design import (
+    LP_VOLUME_DIRECTIONS,
+    LP_VOLUME_MAGNITUDES,
+    LP_VOLUME_NODES,
+    LP_VOLUME_P,
     DesignVariables,
     GramianTraceConstraint,
     LpVolumeConstraint,
@@ -260,7 +264,8 @@ def _parse_constraint(constraint: _Section, n: int):
     if kind == "gramian_trace":
         return GramianTraceConstraint(factor=factor, horizon=horizon)
     spec, costates, nodes = _parse_sweep(
-        constraint, n, horizon, p=6, nodes=501, magnitudes=(5.0, 20.0, 50.0, 100.0), directions=128
+        constraint, n, horizon, p=LP_VOLUME_P, nodes=LP_VOLUME_NODES,
+        magnitudes=LP_VOLUME_MAGNITUDES, directions=LP_VOLUME_DIRECTIONS,
     )
     projection = constraint.value("projection", None)
     if projection is not None and not (

@@ -2,11 +2,12 @@
 
 Couples parametric model builders (design variables -> LTI system) with
 reachability metrics (Gramian trace, Lp reach-set volume) as inequality
-constraints, solved by one SLSQP call over the design box with central
-finite-difference gradients. A solve has converged when SLSQP reports
-success and no scaled residual is below -feas_tol. A point where the model
-fails to build or evaluate (ValueError, ArithmeticError, LinAlgError) gets
-a large penalty; any other exception propagates. Solves are deterministic.
+constraints, solved by one SLSQP call over the design box with
+finite-difference gradients that never leave the box. A solve has
+converged when SLSQP reports success and no scaled residual is below
+-feas_tol. A point where the model fails to build or evaluate (ValueError,
+ArithmeticError, LinAlgError) gets a large penalty; any other exception
+propagates. Solves are deterministic.
 """
 
 import logging
@@ -31,7 +32,6 @@ __all__ = [
     "OptResult",
     "GramianTraceConstraint",
     "LpVolumeConstraint",
-    "EccentricityConstraint",
     "FunctionConstraint",
     "longitudinal_model",
     "default_trim_point",
@@ -56,6 +56,13 @@ EVALUATION_PENALTY = 1e12
 # directional derivative for linesearch").
 SLSQP_FTOL = 1e-10
 
+# defaults of an Lp reach-volume constraint; the CLI's lp_volume schema reads
+# the same ones
+LP_VOLUME_P = 6
+LP_VOLUME_MAGNITUDES = (5.0, 20.0, 50.0, 100.0)
+LP_VOLUME_DIRECTIONS = 128
+LP_VOLUME_NODES = 501
+
 
 class DesignVariables:
     """Named design scalars; ordering is supplied by the problem's box."""
@@ -65,14 +72,6 @@ class DesignVariables:
 
     def __getitem__(self, name: str) -> float:
         return self._values[name]
-
-    @property
-    def b(self) -> float:
-        return self._values["b"]
-
-    @property
-    def c_bar(self) -> float:
-        return self._values["c_bar"]
 
     def as_dict(self) -> dict:
         return dict(self._values)
@@ -219,7 +218,7 @@ def longitudinal_model(dv, trim: TrimPoint, derivatives) -> LtiSystem:
     and chord first.
     """
     if isinstance(derivatives, ScalableDerivativeTable):
-        d = derivatives.at(dv.b, dv.c_bar)
+        d = derivatives.at(dv["b"], dv["c_bar"])
     else:
         d = derivatives
     g, V0 = trim.g, trim.V0
@@ -244,20 +243,7 @@ def longitudinal_model(dv, trim: TrimPoint, derivatives) -> LtiSystem:
     return LtiSystem(A, B)
 
 
-class Constraint:
-    """Inequality constraint residual(problem, dv) >= 0 means feasible."""
-
-    name = "constraint"
-
-    def residual(self, problem, dv) -> float:
-        raise NotImplementedError
-
-    def scale(self, problem) -> float:
-        """Positive magnitude used to normalize the residual internally."""
-        return 1.0
-
-
-class GramianTraceConstraint(Constraint):
+class GramianTraceConstraint:
     """trace(W(dv)) >= factor * trace(W(baseline)) over a fixed horizon."""
 
     name = "gramian_trace"
@@ -284,7 +270,7 @@ class GramianTraceConstraint(Constraint):
         return max(abs(self.baseline_trace(problem)), 1e-12)
 
 
-class LpVolumeConstraint(Constraint):
+class LpVolumeConstraint:
     """vol(reachable Lp endpoints at dv) >= factor * vol at baseline.
 
     The costate grid is frozen at construction (or on first use, from the
@@ -301,9 +287,9 @@ class LpVolumeConstraint(Constraint):
         spec: LpSpec,
         factor: float = 1.1,
         grid=None,
-        magnitudes=(5.0, 20.0, 50.0, 100.0),
-        directions_per_shell: int = 128,
-        nodes: int = 501,
+        magnitudes=LP_VOLUME_MAGNITUDES,
+        directions_per_shell: int = LP_VOLUME_DIRECTIONS,
+        nodes: int = LP_VOLUME_NODES,
         projection=None,
     ):
         if factor <= 0:
@@ -349,33 +335,7 @@ class LpVolumeConstraint(Constraint):
         return max(abs(self.baseline_volume(problem)), 1e-12)
 
 
-class EccentricityConstraint(Constraint):
-    """Cap on the Gramian eigenvalue spread lambda_max / lambda_min.
-
-    Optional hook for keeping reach sets from becoming lopsided; not part
-    of the default constraint set.
-    """
-
-    name = "eccentricity"
-
-    def __init__(self, max_ratio: float, horizon: float = 1.0):
-        if max_ratio < 1.0:
-            raise ValueError("max_ratio must be >= 1")
-        self.max_ratio = max_ratio
-        self.horizon = horizon
-
-    def residual(self, problem, dv) -> float:
-        g = reachability_gramian(problem.build_system(dv), self.horizon)
-        lam_max = float(g.eigenvalues[0])
-        lam_min = float(g.eigenvalues[-1])
-        floor = 1e-300 if lam_max <= 0 else 1e-15 * lam_max
-        return self.max_ratio - lam_max / max(lam_min, floor)
-
-    def scale(self, problem) -> float:
-        return max(self.max_ratio, 1.0)
-
-
-class FunctionConstraint(Constraint):
+class FunctionConstraint:
     """Plain callable residual, for synthetic and analytic problems."""
 
     def __init__(self, fn, name: str = "custom", scale: float = 1.0):
@@ -392,14 +352,20 @@ class FunctionConstraint(Constraint):
 
 @dataclass
 class DesignProblem:
-    """Objective + box + reachability constraints over a model builder."""
+    """Objective + box + reachability constraints over a model builder.
+
+    model is a plain callable dv -> LtiSystem; whatever else it needs (a
+    trim point, a derivative table) it closes over. Problems whose
+    constraints never build a system may leave it None. Each constraint
+    has residual(problem, dv), feasible when >= 0, and scale(problem), the
+    positive magnitude that normalises the residual inside optimize.
+    """
 
     objective: object
     box: dict
     baseline: DesignVariables
     constraints: tuple
     model: object = None
-    trim: TrimPoint | None = None
     # constraint -> its value at the baseline; held here so it dies with the problem
     _baselines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -408,9 +374,7 @@ class DesignProblem:
         for name, (lo, hi) in self.box.items():
             val = self.baseline[name]
             if not lo <= val <= hi:
-                raise ValueError(
-                    f"baseline {name}={val} outside box [{lo}, {hi}]"
-                )
+                raise ValueError(f"baseline {name}={val} outside box [{lo}, {hi}]")
 
     @property
     def names(self):
@@ -423,13 +387,11 @@ class DesignProblem:
         return self._baselines[constraint]
 
     def build_system(self, dv) -> LtiSystem:
-        if self.model is None:
-            raise ValueError("problem has no model builder")
-        return self.model(dv, self.trim)
+        return self.model(dv)
 
 
 def surrogate_wing_problem(
-    constraint: Constraint,
+    constraint,
     trim: TrimPoint | None = None,
     table: ScalableDerivativeTable | None = None,
     box_factors=(0.5, 1.5),
@@ -439,22 +401,16 @@ def surrogate_wing_problem(
     """
     trim = trim or default_trim_point()
     table = table or default_derivative_table()
-    baseline = DesignVariables({"b": table.b_ref, "c_bar": table.c_bar_ref})
     lo, hi = box_factors
-
-    def model(dv, trim_point):
-        return longitudinal_model(dv, trim_point, table)
-
     return DesignProblem(
-        objective=lambda dv: dv.b + dv.c_bar,
+        objective=lambda dv: dv["b"] + dv["c_bar"],
         box={
             "b": (lo * table.b_ref, hi * table.b_ref),
             "c_bar": (lo * table.c_bar_ref, hi * table.c_bar_ref),
         },
-        baseline=baseline,
+        baseline=DesignVariables({"b": table.b_ref, "c_bar": table.c_bar_ref}),
         constraints=(constraint,),
-        model=model,
-        trim=trim,
+        model=lambda dv: longitudinal_model(dv, trim, table),
     )
 
 
@@ -487,21 +443,29 @@ class OptResult:
     converged: bool = False
 
 
-def central_difference(fn, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central finite differences with step = step * max(1, |x_i|).
+def central_difference(fn, x: np.ndarray, step: float = 1e-6,
+                       lb=-np.inf, ub=np.inf) -> np.ndarray:
+    """Finite differences that never probe fn outside the box [lb, ub].
 
-    A scalar fn gives its gradient, shape (len(x),); a fn returning k
-    values gives its Jacobian, shape (k, len(x)).
+    The step is h = (x_i + step * max(1, |x_i|)) - x_i, rounded so that
+    x_i + h is exact. Where x_i - h and x_i + h both lie in the box this is
+    the central rule. Otherwise it is the second-order one-sided rule
+    (-3 f(x) + 4 f(x + sh) - f(x + 2sh)) / (2sh) on the side s with more
+    room. A scalar fn gives its gradient, shape (len(x),); a fn returning
+    k values gives its Jacobian, shape (k, len(x)).
     """
     x = np.asarray(x, dtype=float)
+    lb, ub = np.broadcast_to(lb, x.shape), np.broadcast_to(ub, x.shape)
     columns = []
     for j in range(len(x)):
-        h = step * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        columns.append(np.subtract(fn(xp), fn(xm)) / (2.0 * h))
+        e = np.zeros_like(x)
+        h = e[j] = (x[j] + step * max(1.0, abs(x[j]))) - x[j]
+        if lb[j] <= x[j] - h and x[j] + h <= ub[j]:
+            columns.append(np.subtract(fn(x + e), fn(x - e)) / (2.0 * h))
+        else:
+            if ub[j] - x[j] < x[j] - lb[j]:
+                e, h = -e, -h
+            columns.append((-3.0 * fn(x) + 4.0 * fn(x + e) - fn(x + 2.0 * e)) / (2.0 * h))
     return np.stack(columns, axis=-1)
 
 
@@ -509,8 +473,9 @@ def optimize(problem: DesignProblem, options: OptimizeOptions | None = None) -> 
     """SLSQP solve of the constrained design problem.
 
     One scipy SLSQP call over the box, with the residuals divided by their
-    constraint scales as one vector inequality, and central finite
-    differences for the objective gradient and the constraint Jacobian.
+    constraint scales as one vector inequality, and finite differences
+    inside the box (central_difference) for the objective gradient and the
+    constraint Jacobian, so the model is only ever built inside the box.
     Converged means SLSQP reported success and no scaled residual is below
     -feas_tol; an unconverged solve returns the best point it saw (see
     OptResult). Model-build failures (ValueError, ArithmeticError,
@@ -555,12 +520,13 @@ def optimize(problem: DesignProblem, options: OptimizeOptions | None = None) -> 
         return (0, entry[1]) if viol <= opts.feas_tol else (1, viol)
 
     history = []
-    x0 = np.clip(problem.baseline.as_array(names), lb, ub)
+    x0 = problem.baseline.as_array(names)
     record(x0)
     constraints = [{"type": "ineq", "fun": scaled_residuals,
-                    "jac": lambda x: central_difference(scaled_residuals, x, opts.fd_step)}]
+                    "jac": lambda x: central_difference(scaled_residuals, x, opts.fd_step,
+                                                        lb, ub)}]
     res = _scipy_minimize(
-        objective, x0, jac=lambda x: central_difference(objective, x, opts.fd_step),
+        objective, x0, jac=lambda x: central_difference(objective, x, opts.fd_step, lb, ub),
         method="SLSQP", bounds=list(zip(lb, ub)), constraints=constraints if ncons else [],
         callback=record, options={"maxiter": opts.max_iters, "ftol": SLSQP_FTOL},
     )

@@ -11,7 +11,6 @@ from reachkit.design import (
     BASELINE_WINGSPAN,
     DesignProblem,
     DesignVariables,
-    EccentricityConstraint,
     FunctionConstraint,
     GramianTraceConstraint,
     LpVolumeConstraint,
@@ -48,7 +47,7 @@ def analytic_problem(baseline=(1.5, 1.5)):
 
 
 def scaled_input_problem(constraint, theta=1.0, box=(0.25, 4.0)):
-    def model(dv, trim):
+    def model(dv):
         return LtiSystem(DEMO_A, np.array([[1.0], [0.0]]) * dv["theta"])
 
     return DesignProblem(
@@ -129,7 +128,7 @@ class TestGramianTraceConstraint:
     def test_baseline_belongs_to_its_problem(self):
         # each problem is dropped before the next one is made, so the second
         # usually gets the first one's id; the baseline must still be its own
-        def model(dv, trim):
+        def model(dv):
             return LtiSystem(DEMO_A, [[dv["theta"]], [0.0]])
 
         constraint = GramianTraceConstraint(factor=1.0)
@@ -138,14 +137,14 @@ class TestGramianTraceConstraint:
         for baseline in baselines:
             problem = DesignProblem(objective=sum, box=box, baseline=baseline,
                                     constraints=(constraint,), model=model)
-            expected = gramian_trace(reachability_gramian(model(baseline, None), 1.0))
+            expected = gramian_trace(reachability_gramian(model(baseline), 1.0))
             assert constraint.baseline_trace(problem) == expected
             del problem
 
     def test_residual_increasing_in_input_scale(self):
         # closed form for A = diag(-1, -2), B = [theta, theta]:
         # trace = theta^2 * ((1 - e^-2)/2 + (1 - e^-4)/4)
-        def model(dv, trim):
+        def model(dv):
             return LtiSystem(np.diag([-1.0, -2.0]), [[dv["theta"]], [dv["theta"]]])
 
         constraint = GramianTraceConstraint(factor=1.0)
@@ -193,7 +192,7 @@ class TestLpVolumeConstraint:
 
     def test_continuity_under_small_perturbations(self):
         # two design variables scale the two input-matrix rows independently
-        def model(dv, trim):
+        def model(dv):
             return LtiSystem(DEMO_A, [[dv["u1"]], [0.3 * dv["u2"]]])
 
         constraint = self.make_constraint(1.0)
@@ -211,15 +210,6 @@ class TestLpVolumeConstraint:
                 problem, DesignVariables({"u1": 1.1 + du1, "u2": 0.9 + du2})
             )
             assert abs(shifted - base) <= 2e-2 * max(abs(base), 1e-3) + 5e-3
-
-
-class TestEccentricity:
-    def test_residual_sign(self):
-        problem = scaled_input_problem(GramianTraceConstraint(factor=1.0))
-        tight = EccentricityConstraint(max_ratio=1.5)
-        loose = EccentricityConstraint(max_ratio=1e6)
-        assert tight.residual(problem, problem.baseline) < 0.0
-        assert loose.residual(problem, problem.baseline) > 0.0
 
 
 class TestOptimize:
@@ -276,8 +266,46 @@ class TestOptimize:
             assert fa == fb
             assert np.array_equal(ra, rb)
 
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    def test_model_never_built_below_its_box(self, theta):
+        # the model is undefined below theta = 1, where the optimum sits; a
+        # penalised probe at 1 - h would stop the solve short of the bound
+        seen = []
+
+        def model(dv):
+            seen.append(dv["theta"])
+            if dv["theta"] < 1.0:
+                raise ValueError("undefined below the box")
+            return LtiSystem(DEMO_A, np.array([[1.0], [0.0]]) * dv["theta"])
+
+        problem = scaled_input_problem(GramianTraceConstraint(factor=0.2), theta, (1.0, 4.0))
+        problem.model = model
+        result = optimize(problem)
+        assert min(seen) >= 1.0
+        assert result.converged
+        assert abs(result.optimum["theta"] - 1.0) <= 1e-12
+
+    def test_wing_trace_solve_builds_inside_the_box(self):
+        problem = surrogate_wing_problem(GramianTraceConstraint(factor=1.1))
+        wing = problem.model
+        seen = []
+
+        def model(dv):
+            seen.append(dv.as_dict())
+            return wing(dv)
+
+        problem.model = model
+        result = optimize(problem)
+        assert result.converged
+        # the chord ends on its upper bound, so the differences probe it
+        top = problem.box["c_bar"][1]
+        assert abs(result.optimum["c_bar"] - top) <= 1e-12 * top
+        for dv in seen:
+            for name, (lo, hi) in problem.box.items():
+                assert lo <= dv[name] <= hi
+
     def test_model_failure_penalized_not_fatal(self, caplog):
-        def fragile_model(dv, trim):
+        def fragile_model(dv):
             if dv["theta"] > 1.4:
                 raise ValueError("model blew up")
             return LtiSystem(DEMO_A, np.array([[1.0], [0.0]]) * dv["theta"])
@@ -377,6 +405,31 @@ class TestHardVolumeSolve:
 
 
 class TestFiniteDifferenceGradient:
+    def test_one_sided_at_the_bounds(self):
+        def fn(x):
+            probes.append(x.copy())
+            return np.array([x[0] ** 3 + np.sin(x[1]), x[0] * np.exp(x[1])])
+
+        def exact(x):
+            return np.array([[3 * x[0] ** 2, np.cos(x[1])],
+                             [np.exp(x[1]), x[0] * np.exp(x[1])]])
+
+        lb, ub = np.array([0.5, -2.0]), np.array([1.5, 0.3])
+        for x in ([0.5, 0.3], [1.5, -2.0], [0.5 + 1e-7, 0.3 - 1e-7]):
+            probes = []
+            x = np.array(x)
+            jac = central_difference(fn, x, lb=lb, ub=ub)
+            assert np.max(np.abs(jac - exact(x))) <= 1e-8 * np.max(np.abs(exact(x)))
+            assert all(np.all((lb <= p) & (p <= ub)) for p in probes)
+
+    def test_interior_points_keep_the_central_rule(self):
+        def fn(x):
+            return np.array([x[0] ** 2 * x[1], np.exp(x[0] - x[1])])
+
+        x = np.array([0.7, -1.3])
+        jac = central_difference(fn, x, lb=[0.0, -2.0], ub=[1.0, 0.0])
+        assert np.array_equal(jac, central_difference(fn, x))
+
     def test_vector_function_gives_the_jacobian(self):
         def fn(x):
             return np.array([x[0] ** 2 * x[1], np.sin(x[1]) + x[2], np.exp(x[0] - x[2])])
