@@ -30,7 +30,7 @@ from .design import (
     optimize,
     surrogate_wing_problem,
 )
-from .geometry import Polytope, contains, convex_hull, polytope_to_json
+from .geometry import Polytope, convex_hull, polytope_to_json
 from .gramian import (
     Gramian,
     MinEnergyControl,

@@ -4,6 +4,7 @@ in, deterministic CSV/JSON artifacts plus a hashed manifest out.
 TASKS maps each task name to its parse function. A parse function reads
 every config key it uses once, checks its JSON type, and builds the
 library objects that hold the domain checks; it returns the compute step.
+The keys it reads are the schema, so any other key is a config error.
 Any error while parsing is a config error (exit 2), any error while
 computing a numeric failure (exit 3), and neither writes anything.
 """
@@ -65,15 +66,24 @@ def _is_numeric(value) -> bool:
 
 
 class _Section:
-    """One JSON object of a config; each getter checks the JSON type it reads."""
+    """One JSON object of a config; each getter checks the JSON type it reads.
 
-    def __init__(self, raw, path: str):
+    The keys the getters read are the section's schema. Every section
+    opened from one root joins the root's `opened` list, so the parse can
+    reject any key that no getter read.
+    """
+
+    def __init__(self, raw, path: str, opened: list | None = None):
         if not isinstance(raw, dict):
             raise ConfigError(f"{path} must be an object")
         self.raw = raw
         self.path = path
+        self.read = set()
+        self.opened = [] if opened is None else opened
+        self.opened.append(self)
 
     def value(self, key, default=_REQUIRED):
+        self.read.add(key)
         if key in self.raw:
             return self.raw[key]
         if default is _REQUIRED:
@@ -101,18 +111,13 @@ class _Section:
         return np.array(value, dtype=float)
 
     def section(self, key, default=_REQUIRED) -> "_Section":
-        return _Section(self.value(key, default), f"{self.path}.{key}")
-
-    def only(self, known) -> None:
-        unknown = sorted(set(self.raw) - set(known))
-        if unknown:
-            raise ConfigError(f"unknown keys in {self.path}: {unknown}")
+        return _Section(self.value(key, default), f"{self.path}.{key}", self.opened)
 
 
-def _parse_trim(raw) -> TrimPoint:
-    if raw in (None, "default"):
+def _parse_trim(system: _Section) -> TrimPoint:
+    if system.value("trim", None) in (None, "default"):
         return default_trim_point()
-    trim = _Section(raw, "system.trim")
+    trim = system.section("trim")
     q0 = trim.number("q0", 0.0)
     if "airspeed_knots" in trim.raw:
         return TrimPoint.from_flight_units(
@@ -131,31 +136,30 @@ def _parse_trim(raw) -> TrimPoint:
     )
 
 
-def _parse_derivatives(raw):
-    if raw in (None, "default"):
+def _parse_derivatives(system: _Section):
+    if system.value("derivatives", None) in (None, "default"):
         return default_derivative_table()
-    table = _Section(raw, "system.derivatives")
+    table = system.section("derivatives")
     names = [f.name for f in fields(StabilityDerivatives)]
-    table.only(names)
     return StabilityDerivatives(**{name: table.number(name) for name in names})
 
 
 def _parse_longitudinal(system: _Section):
-    """The longitudinal model at the configured design, its trim and table."""
+    """The configured design, trim and derivative table of the longitudinal model."""
     model = system.value("model", None)
     if model != "longitudinal":
         raise ConfigError(f"system needs inline A and B or model 'longitudinal', got {model!r}")
     design = system.section("design")
     dv = DesignVariables({"b": design.number("b"), "c_bar": design.number("c_bar")})
-    trim = _parse_trim(system.value("trim", None))
-    table = _parse_derivatives(system.value("derivatives", None))
-    return longitudinal_model(dv, trim, table), trim, table
+    trim = _parse_trim(system)
+    table = _parse_derivatives(system)
+    return dv, trim, table
 
 
 def _parse_system(system: _Section) -> LtiSystem:
     if "A" in system.raw or "B" in system.raw:
         return LtiSystem(system.array("A"), system.array("B"))
-    return _parse_longitudinal(system)[0]
+    return longitudinal_model(*_parse_longitudinal(system))
 
 
 def _parse_sweep(section: _Section, n: int, T: float, p=_REQUIRED, nodes=2001,
@@ -182,7 +186,7 @@ def _parse_boundary(system: _Section, task: _Section):
     if _is_number(raw):
         bounds = ControlBounds.symmetric(raw)
     else:
-        section = _Section(raw, "task.bounds")
+        section = task.section("bounds")
         bounds = ControlBounds(lower=section.array("lower"), upper=section.array("upper"))
     if bounds.m != 1:
         raise ConfigError("task.bounds must be scalar for a single-input system")
@@ -297,18 +301,21 @@ def _opt_result_json(result) -> dict:
 def _parse_optimize(system: _Section, task: _Section):
     if "A" in system.raw or "B" in system.raw:
         raise ConfigError("optimize currently supports the longitudinal model only")
-    model, trim, table = _parse_longitudinal(system)
+    dv, trim, table = _parse_longitudinal(system)
     if not isinstance(table, ScalableDerivativeTable):
         raise ConfigError("optimize needs the default (wing-scaled) derivative table")
-    constraint = _parse_constraint(task.section("constraint"), model.n)
+    n = longitudinal_model(dv, trim, table).n
+    constraint = _parse_constraint(task.section("constraint"), n)
     box_factors = task.array("box_factors", [0.5, 1.5])
     if box_factors.shape != (2,):
         raise ConfigError("task.box_factors must hold two numbers")
     problem = surrogate_wing_problem(
         constraint, trim=trim, table=table, box_factors=tuple(box_factors.tolist())
     )
+    if dv.as_dict() != problem.baseline.as_dict():
+        raise ConfigError(f"optimize starts from the table's reference design, so system.design "
+                          f"must be {problem.baseline.as_dict()}, got {dv.as_dict()}")
     section = task.section("options", {})
-    section.only(f.name for f in fields(OptimizeOptions))
     options = OptimizeOptions(**{
         f.name: (section.integer if type(f.default) is int else section.number)(f.name, f.default)
         for f in fields(OptimizeOptions)
@@ -327,7 +334,8 @@ TASKS = {
 
 
 def _parse(raw, task_override: str | None):
-    """Task name, compute step, output directory and seed of a config."""
+    """Task name, compute step, output directory and seed of a config; a
+    key that no getter read, in any section, is an unknown key."""
     root = _Section(raw, "config")
     task = root.section("task")
     name = task.value("name", task_override)
@@ -340,7 +348,12 @@ def _parse(raw, task_override: str | None):
     if not isinstance(out_dir, str):
         raise ConfigError(f"config.out_dir must be a string, got {out_dir!r}")
     seed = root.integer("seed", 0)
-    return name, TASKS[name](root.section("system"), task), out_dir, seed
+    compute = TASKS[name](root.section("system"), task)
+    for section in root.opened:
+        unknown = sorted(set(section.raw) - section.read)
+        if unknown:
+            raise ConfigError(f"unknown keys in {section.path}: {unknown}")
+    return name, compute, out_dir, seed
 
 
 def _output_dir(path: str) -> Path:

@@ -8,7 +8,7 @@ from scipy.spatial import QhullError as _QhullError
 
 from .errors import DegenerateGeometryError, UnsupportedDimensionError
 
-__all__ = ["Polytope", "convex_hull", "contains", "polytope_to_json"]
+__all__ = ["Polytope", "convex_hull", "polytope_to_json"]
 
 
 @dataclass
@@ -18,8 +18,8 @@ class Polytope:
     Facet inequalities read normal . x <= offset with unit outward normals.
     For a hull from `convex_hull`, volume and facets are qhull's, the
     facets sorted by (normal, offset) and not paired with the 2-D vertex
-    order. Degenerate (affinely dependent) polytopes carry volume 0, an empty
-    facet list, and degenerate=True.
+    order. Degenerate polytopes, from clouds qhull rejects as flat, carry
+    volume 0, an empty facet list, and degenerate=True.
     """
 
     dim: int
@@ -38,21 +38,11 @@ class Polytope:
         return float(np.max(self.facet_normals @ x - self.facet_offsets))
 
 
-def _affine_rank(points: np.ndarray):
-    """Affine rank of the cloud and its coordinates along the leading
-    centred direction, from one SVD."""
+def _degenerate_polytope(points: np.ndarray, dim: int) -> Polytope:
+    """Extreme points of a cloud qhull rejects as flat, as a flat polytope."""
+    # spread along the leading centred direction picks out segment endpoints
     centered = points - points.mean(axis=0)
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    coords = centered @ vt[0]
-    if svals[0] == 0.0:
-        return 0, coords
-    tol = max(svals[0], 1.0) * max(points.shape) * np.finfo(float).eps * 100.0
-    return int(np.sum(svals > tol)), coords
-
-
-def _degenerate_polytope(points: np.ndarray, dim: int, coords: np.ndarray) -> Polytope:
-    """Extreme points of an affinely dependent cloud, as a flat polytope."""
-    # spread along the leading direction picks out segment endpoints
+    coords = centered @ np.linalg.svd(centered, full_matrices=False)[2][0]
     lo = int(np.argmin(coords))
     hi = int(np.argmax(coords))
     if np.allclose(points[lo], points[hi]):
@@ -81,8 +71,9 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
     counterclockwise from the lexicographic minimum, higher dimensions
     keep sorted input indices. Hull vertices are always a subset of the
     input points and the result is deterministic for a given input
-    order. Affinely dependent input yields a degenerate polytope instead
-    of an error.
+    order. qhull alone decides flatness: input it rejects (affinely
+    dependent within its roundoff bound, or too few points) yields a
+    degenerate polytope instead of an error.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if dim is None:
@@ -96,13 +87,10 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
 
-    rank, coords = _affine_rank(points)
-    if rank < dim:
-        return _degenerate_polytope(points, dim, coords)
     try:
         hull = _QhullConvexHull(points, qhull_options="Qt")
     except _QhullError:
-        return _degenerate_polytope(points, dim, coords)
+        return _degenerate_polytope(points, dim)
 
     idx = hull.vertices
     if dim == 2:
@@ -119,11 +107,6 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
         facet_offsets=-facets[:, dim],
         volume=float(hull.volume),
     )
-
-
-def contains(poly: Polytope, x, tol: float = 1e-9) -> bool:
-    """Whether x satisfies every facet inequality within tol."""
-    return poly.facet_violation(x) <= tol
 
 
 def polytope_to_json(poly: Polytope) -> dict:

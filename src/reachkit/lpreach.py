@@ -34,7 +34,7 @@ __all__ = [
 
 DEFAULT_NODES = 2001
 
-# slack on the budget comparison when labeling endpoints reachable
+# relative slack on the budget comparison when labeling endpoints reachable
 REACHABLE_SLACK = 1e-12
 
 
@@ -99,14 +99,6 @@ class LpReachCloud:
     samples: np.recarray
     spec: LpSpec
     hull: Polytope | None
-
-    def nearest_sample(self, xf) -> np.record:
-        """Sample whose endpoint is closest to the queried state."""
-        if len(self.samples) == 0:
-            raise ValueError("cloud has no samples")
-        xf = np.asarray(xf, dtype=float)
-        dists = np.linalg.norm(self.samples.endpoint - xf, axis=1)
-        return self.samples[int(np.argmin(dists))]
 
 
 def simpson_weights(num: int, T: float) -> np.ndarray:
@@ -235,7 +227,7 @@ def _sweep(spec: LpSpec, grid, kernels, certified) -> LpReachCloud:
     samples.endpoint = (u @ weighted)[member] * (size ** (1.0 / (spec.p - 1)))[:, None]
     # |u|^p = u z, since u has the sign of z and |u|^(p-1) = |z|
     samples.cost_p = (np.multiply(u, z, out=z) @ np.repeat(weights, m))[member] * size**spec.q
-    samples.reachable = samples.cost_p <= spec.budget**spec.p + REACHABLE_SLACK
+    samples.reachable = samples.cost_p <= spec.budget**spec.p * (1.0 + REACHABLE_SLACK)
     samples.within_prop2_bound = certified
     return LpReachCloud(samples, spec, _build_hull(samples.endpoint[samples.reachable], n))
 

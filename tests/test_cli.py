@@ -268,6 +268,32 @@ MALFORMED = [
      edited("gramian.json", lambda c: c.update(system={**LONGITUDINAL, "derivatives": {
          **asdict(BASELINE_DERIVATIVES), "X_V": "x"}}))),
     ("out-dir-number", "gramian", edited("gramian.json", lambda c: c.update(out_dir=3))),
+    # optimize solves from the table's reference design, so no other design is accepted
+    ("optimize-other-design", "optimize",
+     edited("optimize_trace.json", lambda c: c["system"]["design"].update(b=12.0, c_bar=4.5))),
+    ("optimize-design-outside-box", "optimize",
+     edited("optimize_trace.json", lambda c: c["system"]["design"].update(b=100.0))),
+    # every section rejects a key that its parse does not read
+    ("unknown-key-root", "gramian", edited("gramian.json", lambda c: c.update(sede=1))),
+    ("unknown-key-system", "gramian",
+     edited("gramian.json", lambda c: c["system"].update(C=[[1.0, 0.0]]))),
+    ("unknown-key-design", "gramian", edited("gramian.json", lambda c: c.update(
+        system={**LONGITUDINAL, "design": {"b": 9.144, "c_bar": 3.45, "span": 9.0}}))),
+    ("unknown-key-trim", "optimize",
+     edited("optimize_trace.json", lambda c: c["system"].update(trim={"V0": 60.0, "gama0": 0.5}))),
+    ("unknown-key-derivatives", "gramian",
+     edited("gramian.json", lambda c: c.update(system={**LONGITUDINAL, "derivatives": {
+         **asdict(BASELINE_DERIVATIVES), "X_W": 0.1}}))),
+    ("unknown-key-task", "gramian",
+     edited("gramian.json", lambda c: c["task"].update(horizon=1.0))),
+    ("unknown-key-bounds", "boundary",
+     edited("boundary.json", lambda c: c["task"]["bounds"].update(uper=1.0))),
+    ("unknown-key-grid", "lp-sample",
+     edited("lp_sample.json", lambda c: c["task"]["grid"].update(direction_per_shell=8))),
+    ("unknown-key-constraint", "optimize",
+     edited("optimize_trace.json", lambda c: c["task"]["constraint"].update(facter=1.2))),
+    ("unknown-key-options", "optimize",
+     edited("optimize_trace.json", lambda c: c["task"].update(options={"max_iter": 5}))),
 ]
 
 # (case id, task, config) rows that parse but must end in exit 3 with nothing written

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from reachkit import contains, convex_hull, polytope_to_json
+from reachkit import convex_hull, polytope_to_json
 from reachkit.errors import DegenerateGeometryError, UnsupportedDimensionError
 
 
@@ -52,7 +52,21 @@ class TestConvexHull2D:
         assert len(poly.vertices) == 2
         got = {tuple(v) for v in poly.vertices}
         assert got == {(0.0, 0.0), (2.0, 2.0)}
-
+        # rotated, translated (d-1)-flats, flat only to roundoff: qhull rejects
+        # them, and the two extreme points along the cloud's spread remain
+        rng = np.random.default_rng(30)
+        for d in (2, 3, 4):
+            for _ in range(40):
+                k = int(rng.integers(3, 201))
+                flat = np.zeros((k, d))
+                flat[:, :-1] = rng.standard_normal((k, d - 1)) * rng.uniform(0.1, 10.0)
+                Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+                pts = flat @ Q.T + rng.uniform(-1e4, 1e4, d)
+                poly = convex_hull(pts, d)
+                assert poly.degenerate
+                assert poly.volume == 0.0
+                assert len(poly.vertices) == 2
+                assert np.array_equal(pts[poly.vertex_indices], poly.vertices)
 
     def test_vertices_duplicated_at_one_ulp(self):
         # a sub-ulp edge between two copies of a vertex has an arbitrary
@@ -166,6 +180,18 @@ class TestVolume:
                 base = convex_hull(moved - shift, d).volume
                 assert abs(convex_hull(moved, d).volume - base) <= 1e-9 * base
 
+    @pytest.mark.parametrize("count", [200, 2000, 20000])
+    def test_thin_ellipse_keeps_its_area(self, count):
+        # semi-axes 1e9 and 0.1: thin, but its smallest spread is far above
+        # coordinate roundoff, so the hull has its area at any point count
+        t = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+        for angle in (0.0, 0.3):
+            c, s = np.cos(angle), np.sin(angle)
+            pts = np.column_stack([1e9 * np.cos(t), 0.1 * np.sin(t)]) @ [[c, s], [-s, c]]
+            poly = convex_hull(pts, 2)
+            assert not poly.degenerate
+            assert poly.volume == pytest.approx(np.pi * 1e8, rel=2e-4)
+
     def test_unit_square_far_from_origin(self):
         poly = convex_hull(unit_cube_corners(2) + 1e8, 2)
         assert not poly.degenerate
@@ -195,24 +221,24 @@ class TestHullIdempotence:
 class TestContains:
     def test_inside_and_outside(self):
         poly = convex_hull(unit_cube_corners(2), 2)
-        assert contains(poly, [0.5, 0.5])
-        assert not contains(poly, [2.0, 0.0], tol=1e-9)
+        assert poly.facet_violation([0.5, 0.5]) <= 1e-9
+        assert poly.facet_violation([2.0, 0.0]) > 1e-9
 
     def test_boundary_within_tol(self):
         poly = convex_hull(unit_cube_corners(2), 2)
-        assert contains(poly, [1.0, 0.5], tol=1e-9)
+        assert poly.facet_violation([1.0, 0.5]) <= 1e-9
 
     def test_self_membership(self):
         rng = np.random.default_rng(10)
         pts = rng.standard_normal((40, 3))
         poly = convex_hull(pts, 3)
         for p in pts:
-            assert contains(poly, p, tol=1e-9)
+            assert poly.facet_violation(p) <= 1e-9
 
     def test_degenerate_raises(self):
         poly = convex_hull(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), 2)
         with pytest.raises(DegenerateGeometryError):
-            contains(poly, [0.0, 0.0])
+            poly.facet_violation([0.0, 0.0])
 
 
 class TestJsonExport:

@@ -196,6 +196,20 @@ class TestSampleReach:
                     alpha**p * s0.cost_p, 1e-12
                 )
 
+    @pytest.mark.parametrize("budget", [0.01, 0.001])
+    def test_budget_scaling_keeps_labels_and_scales_volume(self, budget):
+        # costate homogeneity: b^(p-1) G at budget b has b times the
+        # endpoints and b^p times the costs of G at budget 1, so the labels
+        # agree and the hull grows by b^n
+        sys = demo_system()
+        p = SPEC6.p
+        grid = costate_grid(2, np.geomspace(0.05, 2.0, 40), 64)
+        base = sample_reach(sys, SPEC6, grid, nodes=1001)
+        spec = LpSpec(p=p, T=SPEC6.T, budget=budget)
+        scaled = sample_reach(sys, spec, budget ** (p - 1) * grid, nodes=1001)
+        assert np.array_equal(scaled.samples.reachable, base.samples.reachable)
+        assert scaled.hull.volume == pytest.approx(budget**2 * base.hull.volume, rel=1e-12)
+
     def test_hull_over_reachable_only(self):
         sys = demo_system()
         grid = costate_grid(2, [0.5, 1.0, 5.0, 20.0], 64)
@@ -467,16 +481,6 @@ class TestInnerApprox:
         inner = inner_approx(sys, SPEC6, costate_grid(2, np.geomspace(0.1, 1.25, 10).tolist(), 64))
         inner_max = max(abs(v1 @ s.endpoint) for s in inner.samples)
         assert inner_max >= 0.8 * full_max
-
-
-class TestNearestSample:
-    def test_returns_closest_endpoint(self):
-        sys = demo_system()
-        cloud = sample_reach(sys, SPEC6, costate_grid(2, [0.5, 1.0, 2.0], 32))
-        target = cloud.samples[7].endpoint
-        found = cloud.nearest_sample(target)
-        dists = np.linalg.norm(cloud.samples.endpoint - target, axis=1)
-        assert np.linalg.norm(found.endpoint - target) == dists.min()
 
 
 class TestRecordCloud:
