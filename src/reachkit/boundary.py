@@ -181,13 +181,13 @@ def bang_bang_control(
     precision. By default the grid has 32 intervals per unit of
     ||A||_1 T + T max|Im lambda| / pi (between 64 and 2^16), which resolves
     the fastest rate and every half period of oscillation; an explicit
-    scan_resolution gives intervals of scan_resolution * T instead. On the
-    default grid a real spectrum is checked against the n-intervals bound
-    (Feldbaum): psi_i then has at most n - 1 zeros, and a channel with more
-    sign changes is logged and rescanned on a 16x finer grid. A channel
-    whose peak |psi| on the grid is below 1e-12 * ||c|| * ||B|| is
-    identically zero, as in switch_count: it has no switches and holds
-    upper[i].
+    scan_resolution in (0, 1] gives intervals of scan_resolution * T
+    instead. On the default grid a real spectrum is checked against the
+    n-intervals bound (Feldbaum): psi_i then has at most n - 1 zeros, and a
+    channel with more sign changes is logged and rescanned on a 16x finer
+    grid. A channel whose peak |psi| on the grid is below
+    1e-12 * ||c|| * ||B|| is identically zero, as in switch_count: it has no
+    switches and holds upper[i].
     """
     c = np.asarray(c, dtype=float)
     if not np.any(c):
@@ -195,6 +195,8 @@ def bang_bang_control(
     if bounds.m != sys.m:
         raise DimensionError(f"bounds have {bounds.m} channels, system has {sys.m}")
     if scan_resolution is not None:
+        if not 0.0 < scan_resolution <= 1.0:
+            raise ValueError(f"scan_resolution must lie in (0, 1], got {scan_resolution}")
         brackets, zero = _grid_brackets(sys, c, T, int(round(1.0 / scan_resolution)))
     else:
         eigenvalues = np.linalg.eigvals(sys.A)

@@ -118,30 +118,29 @@ def _parse_trim(system: _Section) -> TrimPoint:
     if system.value("trim", None) in (None, "default"):
         return default_trim_point()
     trim = system.section("trim")
-    q0 = trim.number("q0", 0.0)
     if "airspeed_knots" in trim.raw:
         return TrimPoint.from_flight_units(
             alpha_deg=trim.number("alpha_deg", 0.0),
             airspeed_knots=trim.number("airspeed_knots"),
             altitude_feet=trim.number("altitude_feet", 0.0),
-            q0=q0,
             gamma_deg=trim.number("gamma_deg", 0.0),
         )
     return TrimPoint(
         alpha0=trim.number("alpha0", 0.0),
         V0=trim.number("V0"),
         h0=trim.number("h0", 0.0),
-        q0=q0,
         gamma0=trim.number("gamma0", 0.0),
     )
 
 
-def _parse_derivatives(system: _Section):
+def _parse_derivatives(system: _Section, dv: DesignVariables) -> ScalableDerivativeTable:
+    """The default table, or an inline one whose reference is the configured design."""
     if system.value("derivatives", None) in (None, "default"):
         return default_derivative_table()
     table = system.section("derivatives")
     names = [f.name for f in fields(StabilityDerivatives)]
-    return StabilityDerivatives(**{name: table.number(name) for name in names})
+    base = StabilityDerivatives(**{name: table.number(name) for name in names})
+    return ScalableDerivativeTable(base=base, b_ref=dv["b"], c_bar_ref=dv["c_bar"])
 
 
 def _parse_longitudinal(system: _Section):
@@ -152,7 +151,7 @@ def _parse_longitudinal(system: _Section):
     design = system.section("design")
     dv = DesignVariables({"b": design.number("b"), "c_bar": design.number("c_bar")})
     trim = _parse_trim(system)
-    table = _parse_derivatives(system)
+    table = _parse_derivatives(system, dv)
     return dv, trim, table
 
 
@@ -302,8 +301,6 @@ def _parse_optimize(system: _Section, task: _Section):
     if "A" in system.raw or "B" in system.raw:
         raise ConfigError("optimize currently supports the longitudinal model only")
     dv, trim, table = _parse_longitudinal(system)
-    if not isinstance(table, ScalableDerivativeTable):
-        raise ConfigError("optimize needs the default (wing-scaled) derivative table")
     n = longitudinal_model(dv, trim, table).n
     constraint = _parse_constraint(task.section("constraint"), n)
     box_factors = task.array("box_factors", [0.5, 1.5])

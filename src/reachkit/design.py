@@ -95,7 +95,6 @@ class TrimPoint:
     alpha0: float  # rad
     V0: float  # m/s
     h0: float  # m
-    q0: float = 0.0  # rad/s
     gamma0: float = 0.0  # rad
     g: float = STANDARD_GRAVITY  # m/s^2
 
@@ -111,7 +110,7 @@ class TrimPoint:
         alpha_deg: float,
         airspeed_knots: float,
         altitude_feet: float,
-        q0: float = 0.0,
+        *,
         gamma_deg: float = 0.0,
     ) -> "TrimPoint":
         """Build from degrees / knots / feet, converting to SI on ingestion."""
@@ -119,7 +118,6 @@ class TrimPoint:
             alpha0=math.radians(alpha_deg),
             V0=airspeed_knots * KNOT,
             h0=altitude_feet * FOOT,
-            q0=q0,
             gamma0=math.radians(gamma_deg),
         )
 
@@ -209,18 +207,11 @@ def default_derivative_table() -> ScalableDerivativeTable:
     )
 
 
-def longitudinal_model(dv, trim: TrimPoint, derivatives) -> LtiSystem:
+def longitudinal_model(dv, trim: TrimPoint, table: ScalableDerivativeTable) -> LtiSystem:
     """Linear longitudinal flight model with states (v_T, alpha, q, theta)
-    and inputs (throttle, elevator).
-
-    derivatives may be a plain StabilityDerivatives table (used as-is) or
-    a ScalableDerivativeTable, which is evaluated at the design's wingspan
-    and chord first.
-    """
-    if isinstance(derivatives, ScalableDerivativeTable):
-        d = derivatives.at(dv["b"], dv["c_bar"])
-    else:
-        d = derivatives
+    and inputs (throttle, elevator), from the table at the design's wingspan
+    and chord."""
+    d = table.at(dv["b"], dv["c_bar"])
     g, V0 = trim.g, trim.V0
     sin_g0, cos_g0 = math.sin(trim.gamma0), math.cos(trim.gamma0)
     sin_a0, cos_a0 = math.sin(trim.alpha0), math.cos(trim.alpha0)
@@ -273,8 +264,8 @@ class GramianTraceConstraint:
 class LpVolumeConstraint:
     """vol(reachable Lp endpoints at dv) >= factor * vol at baseline.
 
-    The costate grid is frozen at construction (or on first use, from the
-    problem's state dimension) and shared by every evaluation, so the
+    The costate grid is frozen at construction (or built on first use for
+    each state dimension) and shared by every evaluation, so the
     volume varies smoothly with the design instead of jumping with the
     sampling. A degenerate or empty hull counts as volume zero, except at
     the baseline: no factor scales a zero volume, so there it is a ValueError.
@@ -302,11 +293,14 @@ class LpVolumeConstraint:
         self.projection = None if projection is None else tuple(projection)
         self.degenerate_evaluations = 0
         self._grid = None if grid is None else np.atleast_2d(np.asarray(grid, dtype=float))
+        self._grids = {}  # state dimension -> the grid built for it
 
     def grid_for(self, n: int) -> np.ndarray:
-        if self._grid is None:
-            self._grid = costate_grid(n, self.magnitudes, self.directions_per_shell)
-        return self._grid
+        if self._grid is not None:
+            return self._grid
+        if n not in self._grids:
+            self._grids[n] = costate_grid(n, self.magnitudes, self.directions_per_shell)
+        return self._grids[n]
 
     def _volume_at(self, problem, dv) -> float:
         sys_dv = problem.build_system(dv)

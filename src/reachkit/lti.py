@@ -307,15 +307,14 @@ def simulate(sys: LtiSystem, u, T: float, steps: int) -> Trajectory:
     return Trajectory(times=grid, states=states, controls=controls)
 
 
-def classify_spectrum(sys: LtiSystem, tol: float | None = None) -> SpectrumClass:
+def classify_spectrum(sys: LtiSystem) -> SpectrumClass:
     """Eigenvalues of A and whether the planar-real-distinct case applies.
 
     The flag requires n = 2, a purely real spectrum, and an eigenvalue
-    separation above tol (default 1e-8 * max(1, ||A||)). Eigen-solver
-    failures propagate as numpy.linalg.LinAlgError.
+    separation above 1e-8 * max(1, ||A||_2). Eigen-solver failures
+    propagate as numpy.linalg.LinAlgError.
     """
-    if tol is None:
-        tol = 1e-8 * max(1.0, np.linalg.norm(sys.A, 2))
+    tol = 1e-8 * max(1.0, np.linalg.norm(sys.A, 2))
     eigenvalues = np.linalg.eigvals(sys.A)
     flag = False
     if sys.n == 2 and np.all(np.isreal(eigenvalues)):

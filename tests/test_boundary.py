@@ -94,6 +94,15 @@ class TestBangBangControl:
         with pytest.raises(ValueError):
             bang_bang_control(demo_system(), UNIT_BOUNDS, [0.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("scan_resolution", [0.0, -0.1, 2.0, 3.0])
+    def test_scan_resolution_outside_unit_interval_rejected(self, scan_resolution):
+        # psi of this oscillator switches 3 times on [0, 1]; 2.0 and 3.0 would
+        # round to a zero-interval scan that finds none of them
+        sys = LtiSystem([[0.0, 10.0], [-10.0, 0.0]], [[0.0], [1.0]])
+        assert len(bang_bang_control(sys, UNIT_BOUNDS, [1.0, 0.3], 1.0).switch_times) == 3
+        with pytest.raises(ValueError, match="scan_resolution"):
+            bang_bang_control(sys, UNIT_BOUNDS, [1.0, 0.3], 1.0, scan_resolution=scan_resolution)
+
     def test_lemma1_domination(self):
         # the switching control maximizes <c, endpoint> against random
         # admissible competitors

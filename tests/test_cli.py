@@ -210,6 +210,15 @@ def edited(name, edit):
 
 
 LONGITUDINAL = {"model": "longitudinal", "design": {"b": 9.144, "c_bar": 3.45}}
+# an inline copy of the default table; its reference is the configured design
+INLINE_DERIVATIVES = asdict(BASELINE_DERIVATIVES)
+
+
+def longitudinal_config(name, derivatives=INLINE_DERIVATIVES, b=9.144, c_bar=3.45):
+    """A shipped config whose system is the longitudinal model at (b, c_bar)."""
+    system = {"model": "longitudinal", "design": {"b": b, "c_bar": c_bar},
+              "derivatives": derivatives}
+    return edited(name, lambda c: c.update(system=system))
 
 
 def lp_volume_constraint(**extra):
@@ -264,11 +273,16 @@ MALFORMED = [
      edited("lp_sample.json", lambda c: c["task"]["grid"].update(magnitudes=[]))),
     ("string-matrix-entry", "gramian",
      edited("gramian.json", lambda c: c["system"].update(A=[["0.4", -0.3], [0.5, 1.7]]))),
+    # an inline table scales from the configured design, which must be a positive wing
+    ("inline-table-negative-wingspan", "gramian", longitudinal_config("gramian.json", b=-5.0)),
+    ("inline-table-overflowing-area", "gramian",
+     longitudinal_config("gramian.json", b=1e200, c_bar=1e200)),
     ("derivative-string", "gramian",
      edited("gramian.json", lambda c: c.update(system={**LONGITUDINAL, "derivatives": {
          **asdict(BASELINE_DERIVATIVES), "X_V": "x"}}))),
     ("out-dir-number", "gramian", edited("gramian.json", lambda c: c.update(out_dir=3))),
-    # optimize solves from the table's reference design, so no other design is accepted
+    # optimize solves from the table's reference design, so the default table
+    # accepts no other design
     ("optimize-other-design", "optimize",
      edited("optimize_trace.json", lambda c: c["system"]["design"].update(b=12.0, c_bar=4.5))),
     ("optimize-design-outside-box", "optimize",
@@ -281,6 +295,11 @@ MALFORMED = [
         system={**LONGITUDINAL, "design": {"b": 9.144, "c_bar": 3.45, "span": 9.0}}))),
     ("unknown-key-trim", "optimize",
      edited("optimize_trace.json", lambda c: c["system"].update(trim={"V0": 60.0, "gama0": 0.5}))),
+    # the model reads no trim pitch rate, so q0 is not a trim key
+    ("trim-q0", "optimize", edited("optimize_trace.json", lambda c: c["system"].update(
+        trim={"alpha_deg": 12.0, "airspeed_knots": 150.0, "q0": 0.3}))),
+    ("trim-q0-si", "optimize",
+     edited("optimize_trace.json", lambda c: c["system"].update(trim={"V0": 60.0, "q0": 0.3}))),
     ("unknown-key-derivatives", "gramian",
      edited("gramian.json", lambda c: c.update(system={**LONGITUDINAL, "derivatives": {
          **asdict(BASELINE_DERIVATIVES), "X_W": 0.1}}))),
@@ -340,6 +359,34 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
+class TestInlineDerivativeTable:
+    @pytest.mark.parametrize("task,name,artifact", [
+        ("gramian", "gramian.json", "gramian.json"),
+        ("optimize", "optimize_trace.json", "optresult.json"),
+    ])
+    def test_default_copy_gives_identical_artifacts(self, tmp_path, task, name, artifact):
+        # at the configured design the table's ratios are x / x = 1, so the
+        # model is the inline table to the bit
+        results = []
+        for derivatives in (INLINE_DERIVATIVES, "default"):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(longitudinal_config(name, derivatives)))
+            out = tmp_path / f"out-{len(results)}"
+            assert run_cli(task, config, out) == EXIT_OK
+            results.append((out / artifact).read_bytes())
+        assert results[0] == results[1]
+
+    def test_optimize_starts_from_the_configured_design(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            longitudinal_config("optimize_trace.json", b=12.0, c_bar=4.5)))
+        out = tmp_path / "out"
+        assert run_cli("optimize", config, out) == EXIT_OK
+        payload = json.loads((out / "optresult.json").read_text())
+        assert payload["converged"] is True
+        assert payload["history"][0]["variables"] == {"b": 12.0, "c_bar": 4.5}
+
+
 DEMO = {"A": [[0.4, -0.3], [0.5, 1.7]], "B": [[1.0], [0.0]]}
 SWEEP = {"T": 1.0, "p": 6, "budget": 1.0, "nodes": 101,
          "grid": {"magnitudes": [0.5, 1.0], "directions_per_shell": 8}}
@@ -356,16 +403,25 @@ TINY = {
                  "constraint": {"type": "gramian_trace", "factor": 1.1, "horizon": 1.0}},
     },
 }
+# the same solve on an inline table, so its derivative keys and design get changed too
+TINY["optimize-inline"] = copy.deepcopy(TINY["optimize"])
+TINY["optimize-inline"]["system"]["derivatives"] = INLINE_DERIVATIVES
 for name in TINY:
     TINY[name]["seed"] = 0
 
 
-@pytest.mark.parametrize("task", sorted(TINY))
-def test_tiny_base_configs_run(tmp_path, task):
+def task_of(base):
+    """The CLI task of a TINY base, which its own config names."""
+    return TINY[base]["task"]["name"]
+
+
+@pytest.mark.parametrize("base", sorted(TINY))
+def test_tiny_base_configs_run(tmp_path, base):
     # the property below changes one key of these; each must run as given
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(TINY[task]))
-    assert main([task, "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+    config.write_text(json.dumps(TINY[base]))
+    out = tmp_path / "out"
+    assert main([task_of(base), "--config", str(config), "--out", str(out)]) == EXIT_OK
 
 
 def key_paths(obj, prefix=()):
@@ -383,15 +439,15 @@ JSON_VALUES = st.recursive(
                                                                 max_size=3),
     max_leaves=6,
 )
-CASES = [(task, path) for task in TINY for path in key_paths(TINY[task])]
+CASES = [(base, path) for base in TINY for path in key_paths(TINY[base])]
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=st.sampled_from(CASES), value=JSON_VALUES)
 def test_any_one_key_changed_gives_a_documented_exit(case, value):
-    task, path = case
-    raw = copy.deepcopy(TINY[task])
+    base, path = case
+    raw = copy.deepcopy(TINY[base])
     holder = raw
     for key in path[:-1]:
         holder = holder[key]
@@ -400,6 +456,6 @@ def test_any_one_key_changed_gives_a_documented_exit(case, value):
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(raw))
         out = Path(tmp) / "out"
-        code = main([task, "--config", str(config), "--out", str(out)])
+        code = main([task_of(base), "--config", str(config), "--out", str(out)])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
         assert (out / "manifest.json").exists() if code == EXIT_OK else not out.exists()

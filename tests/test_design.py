@@ -66,6 +66,13 @@ class TestTrimPoint:
         assert abs(trim.h0 - 1524.0) <= 1e-9
         assert abs(trim.alpha0 - np.radians(12.0)) <= 1e-12
 
+    def test_gamma_is_keyword_only(self):
+        # gamma_deg is keyword-only, so a stray fourth positional argument cannot land in it
+        with pytest.raises(TypeError):
+            TrimPoint.from_flight_units(12.0, 150.0, 5000.0, 0.3)
+        trim = TrimPoint.from_flight_units(12.0, 150.0, 5000.0, gamma_deg=3.0)
+        assert trim.gamma0 == np.radians(3.0)
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             TrimPoint(alpha0=0.1, V0=0.0, h0=0.0)
@@ -77,7 +84,8 @@ class TestLongitudinalModel:
     def test_zero_derivative_structure(self):
         trim = TrimPoint(alpha0=0.0, V0=70.0, h0=0.0, gamma0=0.0)
         dv = DesignVariables({"b": 1.0, "c_bar": 1.0})
-        sys = longitudinal_model(dv, trim, zero_derivatives())
+        table = ScalableDerivativeTable(base=zero_derivatives(), b_ref=1.0, c_bar_ref=1.0)
+        sys = longitudinal_model(dv, trim, table)
         expected_A = np.zeros((4, 4))
         expected_A[0, 3] = -trim.g
         expected_A[1, 2] = 1.0  # 1 + Z_q / V0 with Z_q = 0
@@ -189,6 +197,25 @@ class TestLpVolumeConstraint:
         assert residual > 0.0
         # reachable-set volume grows like theta^n for the sampled hull
         assert abs((residual + v_base) / v_base - 1.3**2) <= 0.05 * 1.3**2
+
+    def test_grid_built_per_state_dimension(self):
+        def make():
+            return LpVolumeConstraint(LpSpec(p=6, T=1.0), magnitudes=[0.01, 0.02, 0.05, 0.1],
+                                      directions_per_shell=8, nodes=301)
+
+        fresh = make()
+        want = fresh.baseline_volume(scaled_input_problem(fresh))
+        reused = make()
+        assert reused.baseline_volume(surrogate_wing_problem(reused)) > 0.0  # n = 4 first
+        assert reused.baseline_volume(scaled_input_problem(reused)) == want  # then n = 2
+        assert reused.grid_for(4).shape[1] == 4 and reused.grid_for(2).shape[1] == 2
+        assert reused.grid_for(4) is reused.grid_for(4)  # built once, not per call
+
+    def test_explicit_grid_is_kept(self):
+        grid = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        constraint = LpVolumeConstraint(LpSpec(p=6, T=1.0), grid=grid)
+        assert np.array_equal(constraint.grid_for(2), grid)
+        assert constraint.grid_for(4) is constraint.grid_for(2)
 
     def test_continuity_under_small_perturbations(self):
         # two design variables scale the two input-matrix rows independently
