@@ -67,7 +67,8 @@ class ControlBounds:
 
     @classmethod
     def symmetric(cls, magnitude: float, m: int = 1) -> "ControlBounds":
-        mag = abs(float(magnitude))
+        # a negative magnitude gives lower > upper, which __post_init__ rejects
+        mag = float(magnitude)
         return cls(lower=-mag * np.ones(m), upper=mag * np.ones(m))
 
     @property
@@ -89,7 +90,6 @@ class BoundaryCurve:
     etas: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    horizon: float
     exact: bool
 
     @property
@@ -103,7 +103,6 @@ class SwitchReport:
 
     sign_changes: np.ndarray
     identically_zero: np.ndarray
-    grid_points: int
 
 
 def switching_function(sys: LtiSystem, c, T: float, t: float) -> np.ndarray:
@@ -269,9 +268,7 @@ def switch_count(sys: LtiSystem, c, T: float, grid_points: int) -> SwitchReport:
             last_negative[i] = last
     identically_zero = peak < _zero_scale(sys, c)
     counts[identically_zero] = 0
-    return SwitchReport(
-        sign_changes=counts, identically_zero=identically_zero, grid_points=grid_points
-    )
+    return SwitchReport(sign_changes=counts, identically_zero=identically_zero)
 
 
 def boundary_curve(
@@ -312,7 +309,7 @@ def boundary_curve(
     g1 = hi * head + lo * tail
     g2 = lo * head + hi * tail
     exact = classify_spectrum(sys).is_planar_real_distinct
-    return BoundaryCurve(etas=etas, g1=g1, g2=g2, horizon=T, exact=exact)
+    return BoundaryCurve(etas=etas, g1=g1, g2=g2, exact=exact)
 
 
 def reach_hull_planar(curve: BoundaryCurve) -> Polytope:

@@ -43,7 +43,8 @@ from .design import (
 from .errors import ConfigError
 from .geometry import polytope_to_json
 from .gramian import ellipsoid_to_json, gramian_trace, reachability_gramian
-from .lpreach import LpSpec, cloud_to_csv, costate_grid, inner_approx, sample_reach, simpson_weights
+from .lpreach import (DEFAULT_NODES, LpSpec, cloud_to_csv, costate_grid, inner_approx,
+                      sample_reach, simpson_weights)
 from .lti import LtiSystem
 
 __all__ = ["TASKS", "run", "main"]
@@ -161,7 +162,7 @@ def _parse_system(system: _Section) -> LtiSystem:
     return longitudinal_model(*_parse_longitudinal(system))
 
 
-def _parse_sweep(section: _Section, n: int, T: float, p=_REQUIRED, nodes=2001,
+def _parse_sweep(section: _Section, n: int, T: float, p=_REQUIRED, nodes=DEFAULT_NODES,
                  magnitudes=(5.0, 10.0, 20.0, 50.0, 100.0), directions=302):
     """LpSpec, costate grid and Simpson node count of one costate sweep."""
     spec = LpSpec(p=section.integer("p", p), T=T, budget=section.number("budget", 1.0))
@@ -370,7 +371,9 @@ def run(raw, task: str | None = None, out_dir: str | None = None, seed: int | No
     returns 2 and any error while computing 3. All artifact bytes are
     rendered before anything touches disk, so neither leaves output
     behind. Data files are byte-identical across reruns of the same config
-    and seed; only the manifest carries a timestamp.
+    and seed at a fixed BLAS thread count (the lp-sample and optimize
+    outputs differ between 1 and 2 OpenBLAS threads); only the manifest
+    carries a timestamp.
     """
     try:
         name, compute, config_out, config_seed = _parse(raw, task)

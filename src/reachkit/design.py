@@ -332,16 +332,15 @@ class LpVolumeConstraint:
 class FunctionConstraint:
     """Plain callable residual, for synthetic and analytic problems."""
 
-    def __init__(self, fn, name: str = "custom", scale: float = 1.0):
+    def __init__(self, fn, name: str = "custom"):
         self._fn = fn
         self.name = name
-        self._scale = scale
 
     def residual(self, problem, dv) -> float:
         return float(self._fn(dv))
 
     def scale(self, problem) -> float:
-        return self._scale
+        return 1.0
 
 
 @dataclass

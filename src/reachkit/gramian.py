@@ -51,7 +51,6 @@ class MinEnergyControl:
     B: np.ndarray
     T: float
     eta: np.ndarray
-    target: np.ndarray
     cost: float
     used_pseudoinverse: bool = False
 
@@ -156,7 +155,6 @@ def min_energy_control(sys: LtiSystem, T: float, xf) -> MinEnergyControl:
         B=sys.B,
         T=float(T),
         eta=eta,
-        target=xf,
         cost=cost,
         used_pseudoinverse=used_pinv,
     )

@@ -9,6 +9,7 @@ filter for endpoints guaranteed to be reachable.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import norm as _gaussian
@@ -93,12 +94,17 @@ class LpReachCloud:
     samples is a record array with one row per costate and the fields
     lambda0 (n,), endpoint (n,), cost_p, reachable and within_prop2_bound,
     so samples.endpoint is the (N, n) endpoint array and samples[i] one
-    costate's record.
+    costate's record. hull is built on first read; it is None when no
+    endpoint is affordable or n is outside 2..4.
     """
 
     samples: np.recarray
-    spec: LpSpec
-    hull: Polytope | None
+
+    @cached_property
+    def hull(self) -> Polytope | None:
+        endpoints = self.samples.endpoint[self.samples.reachable]
+        n = endpoints.shape[1]
+        return convex_hull(endpoints, dim=n) if len(endpoints) and 2 <= n <= 4 else None
 
 
 def simpson_weights(num: int, T: float) -> np.ndarray:
@@ -157,12 +163,6 @@ def prop2_bound(sys: LtiSystem, spec: LpSpec, nodes: int = DEFAULT_NODES) -> flo
     """
     pullback = expm_grid(-sys.A.T, 0.0, spec.T, nodes, left=-sys.B.T)
     return _radius(pullback, simpson_weights(nodes, spec.T), spec)
-
-
-def _build_hull(endpoints: np.ndarray, n: int) -> Polytope | None:
-    if len(endpoints) == 0 or not 2 <= n <= 4:
-        return None
-    return convex_hull(endpoints, dim=n)
 
 
 def _certify(sys: LtiSystem, spec: LpSpec, grid, nodes: int):
@@ -229,7 +229,7 @@ def _sweep(spec: LpSpec, grid, kernels, certified) -> LpReachCloud:
     samples.cost_p = (np.multiply(u, z, out=z) @ np.repeat(weights, m))[member] * size**spec.q
     samples.reachable = samples.cost_p <= spec.budget**spec.p * (1.0 + REACHABLE_SLACK)
     samples.within_prop2_bound = certified
-    return LpReachCloud(samples, spec, _build_hull(samples.endpoint[samples.reachable], n))
+    return LpReachCloud(samples)
 
 
 def sample_reach(sys: LtiSystem, spec: LpSpec, grid, nodes: int = DEFAULT_NODES) -> LpReachCloud:
@@ -244,8 +244,8 @@ def sample_reach(sys: LtiSystem, spec: LpSpec, grid, nodes: int = DEFAULT_NODES)
     cost. Rows share a direction when they are positive multiples of one
     another to 4 eps relative in every component, with zero components
     exactly zero; a zero row gets endpoint 0 and cost 0. samples keeps
-    one record per row, with lambda0 the row as given. The hull is built
-    over the budget-feasible endpoints only.
+    one record per row, with lambda0 the row as given. The cloud's hull
+    covers the budget-feasible endpoints only and is built when first read.
     """
     return _sweep(spec, *_certify(sys, spec, grid, nodes))
 

@@ -68,12 +68,10 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    controls: np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
-        self.controls = np.asarray(self.controls, dtype=float)
         if len(self.times) != len(self.states):
             raise DimensionError("times and states must have equal length")
 
@@ -237,39 +235,18 @@ def convolution_integral(sys: LtiSystem, T: float, t0: float, t1: float) -> np.n
     return matrix_exponential(sys.A, T - t1) @ growth
 
 
-def _as_control_callable(u, steps: int, T: float, m: int):
-    """Accept a callable t -> (m,) or an array of nodal samples."""
-    if callable(u):
-        return u
-    samples = np.atleast_2d(np.asarray(u, dtype=float))
-    if samples.shape[0] == 1 and samples.shape[1] == steps + 1 and m == 1:
-        samples = samples.T
-    if samples.shape != (steps + 1, m):
-        raise DimensionError(
-            f"control samples must have shape ({steps + 1}, {m}), got {samples.shape}"
-        )
-    nodes = np.linspace(0.0, T, steps + 1)
-
-    def interp(t):
-        return np.array([np.interp(t, nodes, samples[:, j]) for j in range(m)])
-
-    return interp
-
-
 def simulate(sys: LtiSystem, u, T: float, steps: int) -> Trajectory:
     """Fixed-step RK4 integration of x' = A x + B u from x(0) = 0.
 
-    u may be a callable t -> (m,) vector (scalar return accepted for m=1)
-    or an array of samples on the uniform step grid. Controls exposing a
-    switch_times attribute get those times inserted as integration nodes
-    and are treated as constant within each step, which keeps the fourth
-    order of the scheme across the discontinuities.
+    u is a callable t -> (m,) vector (scalar return accepted for m=1).
+    Controls exposing a switch_times attribute get those times inserted as
+    integration nodes and are treated as constant within each step, which
+    keeps the fourth order of the scheme across the discontinuities.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    control = _as_control_callable(u, steps, T, sys.m)
     grid = np.linspace(0.0, T, steps + 1)
-    switch_times = getattr(control, "switch_times", None)
+    switch_times = getattr(u, "switch_times", None)
     piecewise = switch_times is not None
     if piecewise and len(switch_times) > 0:
         interior = np.asarray(switch_times, dtype=float)
@@ -281,16 +258,14 @@ def simulate(sys: LtiSystem, u, T: float, steps: int) -> Trajectory:
         # constant drive per interval (grid is switch-aligned), sampled at
         # the midpoints in one vectorized call
         mids = 0.5 * (grid[:-1] + grid[1:])
-        useg = np.asarray(control(mids), dtype=float).reshape(len(mids), sys.m)
+        useg = np.asarray(u(mids), dtype=float).reshape(len(mids), sys.m)
         start = mid = end = useg @ sys.B.T
-        controls = np.asarray(control(grid), dtype=float).reshape(len(grid), sys.m)
     else:
         def eval_u(t):
-            return np.atleast_1d(np.asarray(control(t), dtype=float))
+            return np.atleast_1d(np.asarray(u(t), dtype=float))
 
-        controls = np.stack([eval_u(t) for t in grid])
+        drives = np.stack([eval_u(t) for t in grid]) @ sys.B.T
         mid = np.stack([eval_u(t + 0.5 * h) for t, h in zip(grid[:-1], hs)]) @ sys.B.T
-        drives = controls @ sys.B.T
         start, end = drives[:-1], drives[1:]
 
     A = sys.A
@@ -304,7 +279,7 @@ def simulate(sys: LtiSystem, u, T: float, steps: int) -> Trajectory:
         k4 = A @ (x + h * k3) + end[k]
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[k + 1] = x
-    return Trajectory(times=grid, states=states, controls=controls)
+    return Trajectory(times=grid, states=states)
 
 
 def classify_spectrum(sys: LtiSystem) -> SpectrumClass:

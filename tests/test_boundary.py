@@ -41,6 +41,10 @@ class TestControlBounds:
         assert np.allclose(b.lower, -2.5) and np.allclose(b.upper, 2.5)
         assert b.m == 3
 
+    def test_symmetric_rejects_negative_magnitude(self):
+        with pytest.raises(ValueError):
+            ControlBounds.symmetric(-1.0)
+
 
 class TestSwitchingFunction:
     def test_integrator_aligned(self):

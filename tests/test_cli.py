@@ -236,6 +236,8 @@ MALFORMED = [
      edited("boundary.json", lambda c: c["task"].update(n_eta="abc"))),
     ("bounds-without-upper", "boundary",
      edited("boundary.json", lambda c: c["task"]["bounds"].pop("upper"))),
+    ("boundary-negative-scalar-bound", "boundary",
+     edited("boundary.json", lambda c: c["task"].update(bounds=-1.0))),
     ("even-nodes", "lp-sample", edited("lp_sample.json", lambda c: c["task"].update(nodes=2000))),
     ("zero-directions", "volume",
      edited("volume.json", lambda c: c["task"]["grid"].update(directions_per_shell=0))),
@@ -337,6 +339,13 @@ class TestExitCodes:
         assert main([task, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
         assert capsys.readouterr().err.startswith("reachkit: config error:")
+
+    def test_zero_scalar_bound_runs(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(edited("boundary.json",
+                                            lambda c: c["task"].update(bounds=0.0))))
+        out = tmp_path / "out"
+        assert main(["boundary", "--config", str(config), "--out", str(out)]) == EXIT_OK
 
     @pytest.mark.parametrize("task,raw", [row[1:] for row in NUMERIC],
                              ids=[row[0] for row in NUMERIC])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import reachkit.design
-from reachkit import LpSpec, LtiSystem, gramian_trace, reachability_gramian
+import reachkit.lpreach
+from reachkit import LpSpec, LtiSystem, gramian_trace, reachability_gramian, sample_reach
 from reachkit.design import (
     BASELINE_CHORD,
     BASELINE_DERIVATIVES,
@@ -25,6 +26,7 @@ from reachkit.design import (
     optimize,
     surrogate_wing_problem,
 )
+from reachkit.geometry import convex_hull
 
 DEMO_A = np.array([[0.4, -0.3], [0.5, 1.7]])
 
@@ -210,6 +212,24 @@ class TestLpVolumeConstraint:
         assert reused.baseline_volume(scaled_input_problem(reused)) == want  # then n = 2
         assert reused.grid_for(4).shape[1] == 4 and reused.grid_for(2).shape[1] == 2
         assert reused.grid_for(4) is reused.grid_for(4)  # built once, not per call
+
+    def test_projected_volume_hulls_once(self, monkeypatch):
+        constraint = LpVolumeConstraint(LpSpec(p=6, T=1.0), magnitudes=[0.01, 0.02, 0.05, 0.1],
+                                        directions_per_shell=8, nodes=301, projection=(0, 1))
+        problem = surrogate_wing_problem(constraint)
+        cloud = sample_reach(problem.build_system(problem.baseline), constraint.spec,
+                             constraint.grid_for(4), nodes=301)
+        direct = convex_hull(cloud.samples.endpoint[cloud.samples.reachable][:, [0, 1]], dim=2)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return convex_hull(*args, **kwargs)
+
+        monkeypatch.setattr(reachkit.lpreach, "convex_hull", counted)
+        monkeypatch.setattr(reachkit.design, "convex_hull", counted)
+        assert constraint._volume_at(problem, problem.baseline) == direct.volume > 0.0
+        assert len(calls) == 1
 
     def test_explicit_grid_is_kept(self):
         grid = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])

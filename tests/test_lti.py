@@ -326,12 +326,10 @@ class TestSimulate:
         expected = convolution_integral(sys, 1.0, 0.0, 1.0)[:, 0]
         assert np.max(np.abs(traj.endpoint - expected)) <= 1e-8
 
-    def test_array_control_samples(self):
+    def test_sample_array_is_not_a_control(self):
         sys = LtiSystem(np.zeros((2, 2)), [[1.0], [0.0]])
-        steps = 64
-        samples = np.ones((steps + 1, 1))
-        traj = simulate(sys, samples, 1.0, steps)
-        assert np.allclose(traj.endpoint, [1.0, 0.0], atol=1e-12)
+        with pytest.raises(TypeError):
+            simulate(sys, np.ones((65, 1)), 1.0, 64)
 
     def test_rk4_fourth_order(self):
         sys = demo_system()
