@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .csvout import write_csv
+from .csvout import csv_text
 from .errors import DimensionError, UnsupportedConfigurationError
 from .geometry import Polytope, convex_hull
 from .lti import (
@@ -324,11 +324,11 @@ def reach_hull_planar(curve: BoundaryCurve) -> Polytope:
     return convex_hull(np.vstack([curve.g1, curve.g2]), dim=2)
 
 
-def boundary_curve_to_csv(curve: BoundaryCurve, path_or_file) -> None:
-    """Write the curve samples as CSV: eta, then g1 coords, then g2 coords."""
+def boundary_curve_to_csv(curve: BoundaryCurve) -> str:
+    """The curve samples as CSV text: eta, then g1 coords, then g2 coords."""
     header = (
         ["eta"]
         + [f"x{i + 1}_g1" for i in range(curve.n)]
         + [f"x{i + 1}_g2" for i in range(curve.n)]
     )
-    write_csv(path_or_file, header, np.column_stack([curve.etas, curve.g1, curve.g2]))
+    return csv_text(header, np.column_stack([curve.etas, curve.g1, curve.g2]))

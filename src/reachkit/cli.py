@@ -5,16 +5,16 @@ TASKS maps each task name to its parse function. A parse function reads
 every config key it uses once, checks its JSON type, and builds the
 library objects that hold the domain checks; it returns the compute step.
 The keys it reads are the schema, so any other key is a config error.
-Any error while parsing is a config error (exit 2), any error while
-computing a numeric failure (exit 3), and neither writes anything.
+A parse or write error is a config error (exit 2), a compute error a
+numeric failure (exit 3); none leaves output. Only run writes files.
 """
 
 import argparse
 import datetime
 import hashlib
-import io
 import json
 import math
+import shutil
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -195,9 +195,7 @@ def _parse_boundary(system: _Section, task: _Section):
 
     def compute():
         curve = boundary_curve(sys_, bounds, T=T, n_eta=n_eta)
-        buf = io.StringIO()
-        boundary_curve_to_csv(curve, buf)
-        artifacts = {"boundary.csv": buf.getvalue().encode()}
+        artifacts = {"boundary.csv": boundary_curve_to_csv(curve).encode()}
         if curve.n == 2:
             payload = polytope_to_json(reach_hull_planar(curve))
             payload["exact"] = curve.exact
@@ -229,9 +227,7 @@ def _lp_args(system: _Section, task: _Section):
 
 
 def _cloud_artifacts(cloud) -> dict:
-    buf = io.StringIO()
-    cloud_to_csv(cloud, buf)
-    artifacts = {"cloud.csv": buf.getvalue().encode()}
+    artifacts = {"cloud.csv": cloud_to_csv(cloud).encode()}
     if cloud.hull is not None:
         artifacts["hull.json"] = _json_bytes(polytope_to_json(cloud.hull))
     return artifacts
@@ -367,13 +363,13 @@ def run(raw, task: str | None = None, out_dir: str | None = None, seed: int | No
     """Parse a config, compute its task, and write the artifacts plus
     manifest.json; out_dir and seed override the config's values.
 
-    Any error while parsing, an output path that names a file included,
-    returns 2 and any error while computing 3. All artifact bytes are
-    rendered before anything touches disk, so neither leaves output
-    behind. Data files are byte-identical across reruns of the same config
-    and seed at a fixed BLAS thread count (the lp-sample and optimize
-    outputs differ between 1 and 2 OpenBLAS threads); only the manifest
-    carries a timestamp.
+    Any error while parsing returns 2, as does an output directory that is
+    a file or refuses a write, and any error while computing 3. Nothing is
+    written until every byte is rendered, and a failed write removes what
+    the run wrote (a file of an earlier run that it overwrote stays lost).
+    Data files are byte-identical across reruns of the same config and
+    seed at a fixed BLAS thread count (lp-sample and optimize outputs
+    differ between 1 and 2 OpenBLAS threads); only the manifest is dated.
     """
     try:
         name, compute, config_out, config_seed = _parse(raw, task)
@@ -387,21 +383,28 @@ def run(raw, task: str | None = None, out_dir: str | None = None, seed: int | No
         print(f"reachkit: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for file_name in sorted(artifacts):
-        data = artifacts[file_name]
-        (out / file_name).write_bytes(data)
-        entries.append(
-            {"name": file_name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-        )
-    manifest = {
+    artifacts["manifest.json"] = _json_bytes({
         "task": name,
         "seed": config_seed if seed is None else seed,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "files": entries,
-    }
-    (out / "manifest.json").write_bytes(_json_bytes(manifest))
+        "files": [{"name": file_name, "sha256": hashlib.sha256(data).hexdigest(),
+                   "bytes": len(data)} for file_name, data in sorted(artifacts.items())],
+    })
+    made = [part for part in (out, *out.parents) if not part.exists()]
+    written = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for file_name, data in artifacts.items():
+            with open(out / file_name, "wb") as fh:
+                written.append(out / file_name)
+                fh.write(data)
+    except OSError as exc:
+        for path in written:
+            path.unlink()
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        print(f"reachkit: config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -1,24 +1,19 @@
-"""CSV text for the float tables the library writes."""
+"""CSV text for the float tables the library renders."""
 
 import numpy as np
 
-__all__ = ["write_csv"]
+__all__ = ["csv_text"]
 
 
-def write_csv(path_or_file, header, values: np.ndarray, flags=None) -> None:
-    """Write header, then one row per row of values (floats as repr)
-    followed by that row's flags (as true/false).
+def csv_text(header, values: np.ndarray, flags=None) -> str:
+    """Header, then one row per row of values (floats as repr) followed by
+    that row's flags (as true/false).
 
-    The bytes equal csv.writer's in its default dialect: no such field
+    The text equals csv.writer's in its default dialect: no such field
     needs quoting, and every line ends in \\r\\n.
     """
     rows = [",".join(map(repr, row)) for row in values.tolist()]
     if flags is not None:
         marks = np.where(flags, "true", "false").tolist()
         rows = [",".join([row, *mark]) for row, mark in zip(rows, marks)]
-    text = "".join(line + "\r\n" for line in [",".join(header), *rows])
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", newline="") as fh:
-            fh.write(text)
+    return "".join(line + "\r\n" for line in [",".join(header), *rows])

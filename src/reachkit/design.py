@@ -56,10 +56,10 @@ EVALUATION_PENALTY = 1e12
 # directional derivative for linesearch").
 SLSQP_FTOL = 1e-10
 
-# defaults of an Lp reach-volume constraint; the CLI's lp_volume schema reads
-# the same ones
+# defaults of an Lp reach-volume constraint, also the CLI's lp_volume schema;
+# the shells straddle the default wing's affordable costate radius, about 0.01
 LP_VOLUME_P = 6
-LP_VOLUME_MAGNITUDES = (5.0, 20.0, 50.0, 100.0)
+LP_VOLUME_MAGNITUDES = (0.01, 0.02, 0.05, 0.1)
 LP_VOLUME_DIRECTIONS = 128
 LP_VOLUME_NODES = 501
 
@@ -258,7 +258,7 @@ class GramianTraceConstraint:
         return tr - self.factor * self.baseline_trace(problem)
 
     def scale(self, problem) -> float:
-        return max(abs(self.baseline_trace(problem)), 1e-12)
+        return self.baseline_trace(problem)
 
 
 class LpVolumeConstraint:
@@ -305,11 +305,9 @@ class LpVolumeConstraint:
     def _volume_at(self, problem, dv) -> float:
         sys_dv = problem.build_system(dv)
         cloud = sample_reach(sys_dv, self.spec, self.grid_for(sys_dv.n), nodes=self.nodes)
-        if self.projection is not None:
-            pts = cloud.samples.endpoint[cloud.samples.reachable][:, list(self.projection)]
-            hull = convex_hull(pts, dim=len(self.projection)) if len(pts) else None
-        else:
-            hull = cloud.hull
+        axes = list(self.projection or range(sys_dv.n))
+        pts = cloud.samples.endpoint[cloud.samples.reachable][:, axes]
+        hull = convex_hull(pts, dim=len(axes)) if len(pts) else None
         if hull is None or hull.degenerate:
             self.degenerate_evaluations += 1
             logger.warning("degenerate reach-set hull at %r; volume treated as 0", dv)
@@ -326,7 +324,7 @@ class LpVolumeConstraint:
         return self._volume_at(problem, dv) - self.factor * self.baseline_volume(problem)
 
     def scale(self, problem) -> float:
-        return max(abs(self.baseline_volume(problem)), 1e-12)
+        return self.baseline_volume(problem)
 
 
 class FunctionConstraint:
@@ -350,8 +348,8 @@ class DesignProblem:
     model is a plain callable dv -> LtiSystem; whatever else it needs (a
     trim point, a derivative table) it closes over. Problems whose
     constraints never build a system may leave it None. Each constraint
-    has residual(problem, dv), feasible when >= 0, and scale(problem), the
-    positive magnitude that normalises the residual inside optimize.
+    has residual(problem, dv), feasible when >= 0, and scale(problem), whose
+    magnitude (floored at 1e-12) normalises the residual inside optimize.
     """
 
     objective: object

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import norm as _gaussian
 from scipy.stats.qmc import Halton as _Halton
 
-from .csvout import write_csv
+from .csvout import csv_text
 from .errors import DimensionError
 from .geometry import Polytope, convex_hull
 from .lti import LtiSystem, expm_grid, matrix_exponential
@@ -300,8 +300,8 @@ def costate_grid(n: int, magnitudes, directions_per_shell: int) -> np.ndarray:
     return points[np.sort(first)]
 
 
-def cloud_to_csv(cloud: LpReachCloud, path_or_file) -> None:
-    """Write samples as CSV: costate, endpoint, cost, and budget labels."""
+def cloud_to_csv(cloud: LpReachCloud) -> str:
+    """The samples as CSV text: costate, endpoint, cost, and budget labels."""
     s = cloud.samples
     n = s.dtype["endpoint"].shape[0]
     header = (
@@ -309,5 +309,5 @@ def cloud_to_csv(cloud: LpReachCloud, path_or_file) -> None:
         + [f"xf_{i + 1}" for i in range(n)]
         + ["cost_p", "reachable", "within_prop2_bound"]
     )
-    write_csv(path_or_file, header, np.column_stack([s.lambda0, s.endpoint, s.cost_p]),
-              np.column_stack([s.reachable, s.within_prop2_bound]))
+    return csv_text(header, np.column_stack([s.lambda0, s.endpoint, s.cost_p]),
+                    np.column_stack([s.reachable, s.within_prop2_bound]))

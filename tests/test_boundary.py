@@ -569,11 +569,9 @@ class TestReachHull:
 
 
 class TestCsvExport:
-    def test_columns_and_rows(self, tmp_path):
+    def test_columns_and_rows(self):
         curve = boundary_curve(demo_system(), UNIT_BOUNDS, 1.0, n_eta=25)
-        path = tmp_path / "boundary.csv"
-        boundary_curve_to_csv(curve, path)
-        lines = path.read_text().strip().splitlines()
+        lines = boundary_curve_to_csv(curve).strip().splitlines()
         assert lines[0] == "eta,x1_g1,x2_g1,x1_g2,x2_g2"
         assert len(lines) == 26
         first = [float(x) for x in lines[1].split(",")]
@@ -581,11 +579,9 @@ class TestCsvExport:
 
     def test_bytes_match_csv_writer(self):
         curve = boundary_curve(demo_system(), UNIT_BOUNDS, 1.0, n_eta=25)
-        buf = io.StringIO()
-        boundary_curve_to_csv(curve, buf)
         want = io.StringIO()
         writer = csv.writer(want)
         writer.writerow(["eta", "x1_g1", "x2_g1", "x1_g2", "x2_g2"])
         for eta, p1, p2 in zip(curve.etas, curve.g1, curve.g2):
             writer.writerow([repr(float(v)) for v in (eta, *p1, *p2)])
-        assert buf.getvalue() == want.getvalue()
+        assert boundary_curve_to_csv(curve) == want.getvalue()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reachkit import cli
 from reachkit.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from reachkit.design import BASELINE_DERIVATIVES
 
@@ -317,15 +318,18 @@ MALFORMED = [
      edited("optimize_trace.json", lambda c: c["task"].update(options={"max_iter": 5}))),
 ]
 
+# costate shells far outside the default wing's budget: no endpoint is affordable
+UNAFFORDABLE_GRID = {"magnitudes": [5.0, 20.0, 50.0, 100.0]}
+
 # (case id, task, config) rows that parse but must end in exit 3 with nothing written
 NUMERIC = [
-    # the default grid (magnitudes 5 to 100) leaves no budget-feasible endpoint on the
-    # default wing, so the baseline volume is 0 and no factor of it constrains anything
+    # an empty baseline hull has volume 0, and no factor of it constrains anything
     ("lp-volume-empty-baseline", "optimize",
-     edited("optimize_trace.json", lambda c: c["task"].update(constraint=lp_volume_constraint()))),
+     edited("optimize_trace.json", lambda c: c["task"].update(
+         constraint=lp_volume_constraint(grid=UNAFFORDABLE_GRID)))),
     ("lp-volume-empty-projected-baseline", "optimize",
-     edited("optimize_trace.json",
-            lambda c: c["task"].update(constraint=lp_volume_constraint(projection=[0, 1])))),
+     edited("optimize_trace.json", lambda c: c["task"].update(
+         constraint=lp_volume_constraint(grid=UNAFFORDABLE_GRID, projection=[0, 1])))),
 ]
 
 
@@ -366,6 +370,42 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("reachkit: config error:")
         assert blocker.read_text() == "keep"
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    @pytest.mark.parametrize("task,name,artifact", [
+        ("boundary", "boundary.json", "hull.json"),
+        ("gramian", "gramian.json", "gramian.json"),
+    ])
+    def test_unwritable_artifact_exits_2_and_removes_the_rest(self, tmp_path, capsys, task,
+                                                               name, artifact):
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        assert run_cli(task, CONFIG_DIR / name, out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("reachkit: config error: cannot write output:")
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == [artifact]
+        assert not any((out / artifact).iterdir())
+
+    def test_failed_write_removes_the_directory_it_made(self, tmp_path, capsys, monkeypatch):
+        def full_disk_open(path, mode="r", *args):
+            if Path(path).name == "manifest.json":
+                raise OSError(28, "No space left on device", str(path))
+            return open(path, mode, *args)
+
+        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+        out = tmp_path / "new" / "out"
+        assert run_cli("boundary", CONFIG_DIR / "boundary.json", out) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("reachkit: config error: cannot write output:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_default_lp_volume_grid_converges(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(edited("optimize_trace.json", lambda c: c["task"].update(
+            constraint={"type": "lp_volume"}))))
+        out = tmp_path / "out"
+        assert run_cli("optimize", config, out) == EXIT_OK
+        payload = json.loads((out / "optresult.json").read_text())
+        assert payload["converged"] is True
 
 
 class TestInlineDerivativeTable:

@@ -514,18 +514,14 @@ class TestRecordCloud:
         assert cloud.samples.endpoint.shape == (0, n)
         assert cloud.samples.lambda0.shape == (0, n)
         assert cloud.hull is None
-        buf = io.StringIO()
-        cloud_to_csv(cloud, buf)
-        assert len(buf.getvalue().split(",")) == 2 * n + 3
+        assert len(cloud_to_csv(cloud).split(",")) == 2 * n + 3
 
 
 class TestCloudCsv:
-    def test_column_layout(self, tmp_path):
+    def test_column_layout(self):
         sys = demo_system()
         cloud = sample_reach(sys, SPEC6, costate_grid(2, [1.0], 8))
-        path = tmp_path / "cloud.csv"
-        cloud_to_csv(cloud, path)
-        lines = path.read_text().strip().splitlines()
+        lines = cloud_to_csv(cloud).strip().splitlines()
         assert lines[0] == "lambda0_1,lambda0_2,xf_1,xf_2,cost_p,reachable,within_prop2_bound"
         assert len(lines) == len(cloud.samples) + 1
         assert lines[1].split(",")[-2] in ("true", "false")
@@ -533,8 +529,6 @@ class TestCloudCsv:
 
     def test_bytes_match_csv_writer(self):
         cloud = sample_reach(demo_system(), SPEC6, costate_grid(2, [0.5, 1.0, 5.0], 32))
-        buf = io.StringIO()
-        cloud_to_csv(cloud, buf)
         want = io.StringIO()
         writer = csv.writer(want)
         writer.writerow(["lambda0_1", "lambda0_2", "xf_1", "xf_2", "cost_p", "reachable",
@@ -543,13 +537,11 @@ class TestCloudCsv:
             writer.writerow([repr(float(v)) for v in (*s.lambda0, *s.endpoint, s.cost_p)]
                             + [str(s.reachable).lower(), str(s.within_prop2_bound).lower()])
         assert {s.reachable for s in cloud.samples} == {True, False}
-        assert buf.getvalue() == want.getvalue()
+        assert cloud_to_csv(cloud) == want.getvalue()
 
     def test_empty_cloud_writes_the_header_only(self):
-        buf = io.StringIO()
-        cloud_to_csv(inner_approx(demo_system(), SPEC6, 1e6 * costate_grid(2, [1.0], 4)), buf)
-        assert buf.getvalue() == ("lambda0_1,lambda0_2,xf_1,xf_2,cost_p,reachable,"
-                                  "within_prop2_bound\r\n")
+        text = cloud_to_csv(inner_approx(demo_system(), SPEC6, 1e6 * costate_grid(2, [1.0], 4)))
+        assert text == "lambda0_1,lambda0_2,xf_1,xf_2,cost_p,reachable,within_prop2_bound\r\n"
 
 
 class TestSimpsonWeights:
