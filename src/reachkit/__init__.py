@@ -19,7 +19,6 @@ from .design import (
     FunctionConstraint,
     GramianTraceConstraint,
     LpVolumeConstraint,
-    OptimizeOptions,
     OptResult,
     ScalableDerivativeTable,
     StabilityDerivatives,

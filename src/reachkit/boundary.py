@@ -188,6 +188,8 @@ def bang_bang_control(
     1e-12 * ||c|| * ||B|| is identically zero, as in switch_count: it has no
     switches and holds upper[i].
     """
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got T={T}")
     c = np.asarray(c, dtype=float)
     if not np.any(c):
         raise ValueError("c must be nonzero")
@@ -242,6 +244,8 @@ def switch_count(sys: LtiSystem, c, T: float, grid_points: int) -> SwitchReport:
     """
     if grid_points < 100:
         raise ValueError("grid_points must be >= 100")
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got T={T}")
     c = np.asarray(c, dtype=float)
     # nodes run from t = T back to t = 0; a sign-change count has no direction
     anchors, powers, _ = _grid_factors(sys.A, T, 0.0, grid_points, left=c, right=sys.B)
@@ -293,8 +297,8 @@ def boundary_curve(
         raise DimensionError("bounds must be scalar for a single-input system")
     if n_eta < 2:
         raise ValueError("n_eta must be >= 2")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got T={T}")
 
     lo = float(bounds.lower[0])
     hi = float(bounds.upper[0])

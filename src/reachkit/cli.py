@@ -27,10 +27,10 @@ from .design import (
     LP_VOLUME_MAGNITUDES,
     LP_VOLUME_NODES,
     LP_VOLUME_P,
+    MAX_ITERS,
     DesignVariables,
     GramianTraceConstraint,
     LpVolumeConstraint,
-    OptimizeOptions,
     ScalableDerivativeTable,
     StabilityDerivatives,
     TrimPoint,
@@ -119,18 +119,11 @@ def _parse_trim(system: _Section) -> TrimPoint:
     if system.value("trim", None) in (None, "default"):
         return default_trim_point()
     trim = system.section("trim")
-    if "airspeed_knots" in trim.raw:
-        return TrimPoint.from_flight_units(
-            alpha_deg=trim.number("alpha_deg", 0.0),
-            airspeed_knots=trim.number("airspeed_knots"),
-            altitude_feet=trim.number("altitude_feet", 0.0),
-            gamma_deg=trim.number("gamma_deg", 0.0),
-        )
-    return TrimPoint(
-        alpha0=trim.number("alpha0", 0.0),
-        V0=trim.number("V0"),
-        h0=trim.number("h0", 0.0),
-        gamma0=trim.number("gamma0", 0.0),
+    return TrimPoint.from_flight_units(
+        alpha_deg=trim.number("alpha_deg", 0.0),
+        airspeed_knots=trim.number("airspeed_knots"),
+        altitude_feet=trim.number("altitude_feet", 0.0),
+        gamma_deg=trim.number("gamma_deg", 0.0),
     )
 
 
@@ -162,16 +155,16 @@ def _parse_system(system: _Section) -> LtiSystem:
     return longitudinal_model(*_parse_longitudinal(system))
 
 
-def _parse_sweep(section: _Section, n: int, T: float, p=_REQUIRED, nodes=DEFAULT_NODES,
+def _parse_sweep(section: _Section, T: float, p=_REQUIRED, nodes=DEFAULT_NODES,
                  magnitudes=(5.0, 10.0, 20.0, 50.0, 100.0), directions=302):
-    """LpSpec, costate grid and Simpson node count of one costate sweep."""
+    """LpSpec, shell radii, directions per shell and node count of a costate sweep."""
     spec = LpSpec(p=section.integer("p", p), T=T, budget=section.number("budget", 1.0))
     grid = section.section("grid", {})
-    costates = costate_grid(n, grid.array("magnitudes", list(magnitudes)),
-                            grid.integer("directions_per_shell", directions))
+    radii = grid.array("magnitudes", list(magnitudes))
+    directions = grid.integer("directions_per_shell", directions)
     nodes = section.integer("nodes", nodes)
     simpson_weights(nodes, T)  # rejects even and too-small node counts
-    return spec, costates, nodes
+    return spec, radii, directions, nodes
 
 
 def _json_bytes(obj) -> bytes:
@@ -223,7 +216,8 @@ def _parse_gramian(system: _Section, task: _Section):
 
 def _lp_args(system: _Section, task: _Section):
     sys_ = _parse_system(system)
-    return (sys_, *_parse_sweep(task, sys_.n, task.number("T")))
+    spec, radii, directions, nodes = _parse_sweep(task, task.number("T"))
+    return sys_, spec, costate_grid(sys_.n, radii, directions), nodes
 
 
 def _cloud_artifacts(cloud) -> dict:
@@ -263,8 +257,8 @@ def _parse_constraint(constraint: _Section, n: int):
     horizon = constraint.number("horizon", 1.0)
     if kind == "gramian_trace":
         return GramianTraceConstraint(factor=factor, horizon=horizon)
-    spec, costates, nodes = _parse_sweep(
-        constraint, n, horizon, p=LP_VOLUME_P, nodes=LP_VOLUME_NODES,
+    spec, radii, directions, nodes = _parse_sweep(
+        constraint, horizon, p=LP_VOLUME_P, nodes=LP_VOLUME_NODES,
         magnitudes=LP_VOLUME_MAGNITUDES, directions=LP_VOLUME_DIRECTIONS,
     )
     projection = constraint.value("projection", None)
@@ -275,9 +269,9 @@ def _parse_constraint(constraint: _Section, n: int):
     ):
         raise ConfigError(
             f"{constraint.path}.projection must list 2 to 4 distinct state indices below {n}")
-    return LpVolumeConstraint(
-        spec, factor=factor, grid=costates, nodes=nodes, projection=projection
-    )
+    lp_volume = LpVolumeConstraint(spec, factor, radii, directions, nodes, projection)
+    lp_volume.grid_for(n)  # rejects a malformed grid at parse time
+    return lp_volume
 
 
 def _opt_result_json(result) -> dict:
@@ -309,12 +303,8 @@ def _parse_optimize(system: _Section, task: _Section):
     if dv.as_dict() != problem.baseline.as_dict():
         raise ConfigError(f"optimize starts from the table's reference design, so system.design "
                           f"must be {problem.baseline.as_dict()}, got {dv.as_dict()}")
-    section = task.section("options", {})
-    options = OptimizeOptions(**{
-        f.name: (section.integer if type(f.default) is int else section.number)(f.name, f.default)
-        for f in fields(OptimizeOptions)
-    })
-    return lambda: {"optresult.json": _json_bytes(_opt_result_json(optimize(problem, options)))}
+    max_iters = task.section("options", {}).integer("max_iters", MAX_ITERS, low=0)
+    return lambda: {"optresult.json": _json_bytes(_opt_result_json(optimize(problem, max_iters)))}
 
 
 TASKS = {

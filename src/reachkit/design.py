@@ -5,7 +5,7 @@ reachability metrics (Gramian trace, Lp reach-set volume) as inequality
 constraints, solved by one SLSQP call over the design box with
 finite-difference gradients that never leave the box. A solve has
 converged when SLSQP reports success and no scaled residual is below
--feas_tol. A point where the model fails to build or evaluate (ValueError,
+-FEAS_TOL. A point where the model fails to build or evaluate (ValueError,
 ArithmeticError, LinAlgError) gets a large penalty; any other exception
 propagates. Solves are deterministic.
 """
@@ -28,7 +28,6 @@ __all__ = [
     "StabilityDerivatives",
     "ScalableDerivativeTable",
     "DesignProblem",
-    "OptimizeOptions",
     "OptResult",
     "GramianTraceConstraint",
     "LpVolumeConstraint",
@@ -55,6 +54,12 @@ EVALUATION_PENALTY = 1e12
 # 1e-11 the analytic test problem ends in a failed line search ("Positive
 # directional derivative for linesearch").
 SLSQP_FTOL = 1e-10
+
+# central_difference's relative step, and optimize's feasibility tolerance
+# on the scaled residuals and default SLSQP iteration cap
+FD_STEP = 1e-6
+FEAS_TOL = 1e-6
+MAX_ITERS = 200
 
 # defaults of an Lp reach-volume constraint, also the CLI's lp_volume schema;
 # the shells straddle the default wing's affordable costate radius, about 0.01
@@ -264,9 +269,9 @@ class GramianTraceConstraint:
 class LpVolumeConstraint:
     """vol(reachable Lp endpoints at dv) >= factor * vol at baseline.
 
-    The costate grid is frozen at construction (or built on first use for
-    each state dimension) and shared by every evaluation, so the
-    volume varies smoothly with the design instead of jumping with the
+    The costate grid is built from magnitudes and directions_per_shell on
+    first use for each state dimension and shared by every evaluation, so
+    the volume varies smoothly with the design instead of jumping with the
     sampling. A degenerate or empty hull counts as volume zero, except at
     the baseline: no factor scales a zero volume, so there it is a ValueError.
     """
@@ -277,7 +282,6 @@ class LpVolumeConstraint:
         self,
         spec: LpSpec,
         factor: float = 1.1,
-        grid=None,
         magnitudes=LP_VOLUME_MAGNITUDES,
         directions_per_shell: int = LP_VOLUME_DIRECTIONS,
         nodes: int = LP_VOLUME_NODES,
@@ -287,17 +291,14 @@ class LpVolumeConstraint:
             raise ValueError(f"factor must be positive, got {factor}")
         self.spec = spec
         self.factor = factor
-        self.magnitudes = tuple(magnitudes)
+        self.magnitudes = tuple(np.atleast_1d(magnitudes))
         self.directions_per_shell = directions_per_shell
         self.nodes = nodes
         self.projection = None if projection is None else tuple(projection)
         self.degenerate_evaluations = 0
-        self._grid = None if grid is None else np.atleast_2d(np.asarray(grid, dtype=float))
         self._grids = {}  # state dimension -> the grid built for it
 
     def grid_for(self, n: int) -> np.ndarray:
-        if self._grid is not None:
-            return self._grid
         if n not in self._grids:
             self._grids[n] = costate_grid(n, self.magnitudes, self.directions_per_shell)
         return self._grids[n]
@@ -406,19 +407,6 @@ def surrogate_wing_problem(
 
 
 @dataclass
-class OptimizeOptions:
-    max_iters: int = 200
-    feas_tol: float = 1e-6
-    fd_step: float = 1e-6
-
-    def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if not (self.feas_tol >= 0 and self.fd_step > 0):
-            raise ValueError("need feas_tol >= 0 and fd_step > 0")
-
-
-@dataclass
 class OptResult:
     """history holds (design, objective, residuals) for the start point, each
     iterate SLSQP reports, and the final point if it went unreported;
@@ -434,11 +422,10 @@ class OptResult:
     converged: bool = False
 
 
-def central_difference(fn, x: np.ndarray, step: float = 1e-6,
-                       lb=-np.inf, ub=np.inf) -> np.ndarray:
+def central_difference(fn, x: np.ndarray, lb=-np.inf, ub=np.inf) -> np.ndarray:
     """Finite differences that never probe fn outside the box [lb, ub].
 
-    The step is h = (x_i + step * max(1, |x_i|)) - x_i, rounded so that
+    The step is h = (x_i + FD_STEP * max(1, |x_i|)) - x_i, rounded so that
     x_i + h is exact. Where x_i - h and x_i + h both lie in the box this is
     the central rule. Otherwise it is the second-order one-sided rule
     (-3 f(x) + 4 f(x + sh) - f(x + 2sh)) / (2sh) on the side s with more
@@ -450,7 +437,7 @@ def central_difference(fn, x: np.ndarray, step: float = 1e-6,
     columns = []
     for j in range(len(x)):
         e = np.zeros_like(x)
-        h = e[j] = (x[j] + step * max(1.0, abs(x[j]))) - x[j]
+        h = e[j] = (x[j] + FD_STEP * max(1.0, abs(x[j]))) - x[j]
         if lb[j] <= x[j] - h and x[j] + h <= ub[j]:
             columns.append(np.subtract(fn(x + e), fn(x - e)) / (2.0 * h))
         else:
@@ -460,7 +447,7 @@ def central_difference(fn, x: np.ndarray, step: float = 1e-6,
     return np.stack(columns, axis=-1)
 
 
-def optimize(problem: DesignProblem, options: OptimizeOptions | None = None) -> OptResult:
+def optimize(problem: DesignProblem, max_iters: int = MAX_ITERS) -> OptResult:
     """SLSQP solve of the constrained design problem.
 
     One scipy SLSQP call over the box, with the residuals divided by their
@@ -468,12 +455,13 @@ def optimize(problem: DesignProblem, options: OptimizeOptions | None = None) -> 
     inside the box (central_difference) for the objective gradient and the
     constraint Jacobian, so the model is only ever built inside the box.
     Converged means SLSQP reported success and no scaled residual is below
-    -feas_tol; an unconverged solve returns the best point it saw (see
+    -FEAS_TOL; an unconverged solve returns the best point it saw (see
     OptResult). Model-build failures (ValueError, ArithmeticError,
     LinAlgError) are logged and penalised; any other exception propagates.
     Deterministic: a rerun reproduces the iterate history exactly.
     """
-    opts = options or OptimizeOptions()
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     names = problem.names
     lb, ub = np.array([problem.box[n] for n in names], dtype=float).T
     ncons = len(problem.constraints)
@@ -508,18 +496,17 @@ def optimize(problem: DesignProblem, options: OptimizeOptions | None = None) -> 
 
     def rank(entry):  # feasible points compete on objective, infeasible ones on violation
         viol = float(-np.min(entry[2] / scales, initial=0.0))
-        return (0, entry[1]) if viol <= opts.feas_tol else (1, viol)
+        return (0, entry[1]) if viol <= FEAS_TOL else (1, viol)
 
     history = []
     x0 = problem.baseline.as_array(names)
     record(x0)
     constraints = [{"type": "ineq", "fun": scaled_residuals,
-                    "jac": lambda x: central_difference(scaled_residuals, x, opts.fd_step,
-                                                        lb, ub)}]
+                    "jac": lambda x: central_difference(scaled_residuals, x, lb, ub)}]
     res = _scipy_minimize(
-        objective, x0, jac=lambda x: central_difference(objective, x, opts.fd_step, lb, ub),
+        objective, x0, jac=lambda x: central_difference(objective, x, lb, ub),
         method="SLSQP", bounds=list(zip(lb, ub)), constraints=constraints if ncons else [],
-        callback=record, options={"maxiter": opts.max_iters, "ftol": SLSQP_FTOL},
+        callback=record, options={"maxiter": max_iters, "ftol": SLSQP_FTOL},
     )
     x = np.clip(res.x, lb, ub)
     if not np.array_equal(x, history[-1][0].as_array(names)):

@@ -50,10 +50,10 @@ class LpSpec:
     def __post_init__(self):
         if self.p < 2 or self.p % 2 != 0:
             raise ValueError(f"p must be an even integer >= 2, got {self.p}")
-        if self.T <= 0:
-            raise ValueError(f"horizon must be positive, got {self.T}")
-        if self.budget <= 0:
-            raise ValueError(f"budget must be positive, got {self.budget}")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.T}")
+        if not 0 < self.budget < np.inf:
+            raise ValueError(f"budget must be positive and finite, got {self.budget}")
 
     @property
     def q(self) -> float:
@@ -288,8 +288,9 @@ def costate_grid(n: int, magnitudes, directions_per_shell: int) -> np.ndarray:
     duplicates collapse to their first occurrence.
     """
     magnitudes = np.atleast_1d(np.asarray(magnitudes, dtype=float))
-    if magnitudes.size == 0 or np.any(magnitudes <= 0) or np.any(np.diff(magnitudes) < 0):
-        raise ValueError("magnitudes must be nonempty, positive and ascending")
+    if not (magnitudes.size and np.all((magnitudes > 0) & (magnitudes < np.inf))
+            and np.all(np.diff(magnitudes) >= 0)):
+        raise ValueError("magnitudes must be nonempty, positive, finite and ascending")
     if directions_per_shell < 1:
         raise ValueError("directions_per_shell must be >= 1")
     shell = np.vstack([np.eye(n), -np.eye(n), _sphere_directions(n, directions_per_shell)])

@@ -25,6 +25,7 @@ from reachkit.errors import DimensionError, UnsupportedConfigurationError
 from helpers import demo_system, eig_expm, random_bang_bang, random_planar_real_distinct
 
 UNIT_BOUNDS = ControlBounds.symmetric(1.0)
+BAD_HORIZONS = pytest.mark.parametrize("T", [-1.0, 0.0, np.nan, np.inf])
 
 
 def integrator():
@@ -97,6 +98,12 @@ class TestBangBangControl:
     def test_zero_c_rejected(self):
         with pytest.raises(ValueError):
             bang_bang_control(demo_system(), UNIT_BOUNDS, [0.0, 0.0], 1.0)
+
+    @BAD_HORIZONS
+    def test_horizon_outside_positive_reals_rejected(self, T):
+        # a non-positive horizon used to return a control with no switches
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            bang_bang_control(demo_system(), UNIT_BOUNDS, [1.0, 0.5], T)
 
     @pytest.mark.parametrize("scan_resolution", [0.0, -0.1, 2.0, 3.0])
     def test_scan_resolution_outside_unit_interval_rejected(self, scan_resolution):
@@ -317,6 +324,12 @@ class TestSwitchCount:
         with pytest.raises(ValueError):
             switch_count(demo_system(), [1.0, 0.0], 1.0, 50)
 
+    @BAD_HORIZONS
+    def test_horizon_outside_positive_reals_rejected(self, T):
+        # a non-positive horizon used to count zero switches
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            switch_count(demo_system(), [1.0, 0.5], T, 200)
+
     def test_random_planar_systems_single_switch(self):
         rng = np.random.default_rng(14)
         for _ in range(5):
@@ -494,6 +507,11 @@ class TestBoundaryCurve:
 
     def test_exact_flag_demo(self):
         assert boundary_curve(demo_system(), UNIT_BOUNDS, 1.0, n_eta=11).exact
+
+    @BAD_HORIZONS
+    def test_horizon_outside_positive_reals_rejected(self, T):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            boundary_curve(demo_system(), UNIT_BOUNDS, T, n_eta=11)
 
     def test_nonqualifying_flagged_not_error(self):
         rotation = LtiSystem([[0.0, 1.0], [-1.0, 0.0]], [[1.0], [0.0]])

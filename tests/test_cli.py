@@ -242,6 +242,13 @@ MALFORMED = [
     ("even-nodes", "lp-sample", edited("lp_sample.json", lambda c: c["task"].update(nodes=2000))),
     ("zero-directions", "volume",
      edited("volume.json", lambda c: c["task"]["grid"].update(directions_per_shell=0))),
+    # the lp_volume grid is built at parse time, so a malformed one is a config error
+    ("lp-volume-descending-magnitudes", "optimize",
+     edited("optimize_trace.json", lambda c: c["task"].update(
+         constraint=lp_volume_constraint(grid={"magnitudes": [0.1, 0.05]})))),
+    ("lp-volume-zero-directions", "optimize",
+     edited("optimize_trace.json", lambda c: c["task"].update(
+         constraint=lp_volume_constraint(grid={"directions_per_shell": 0})))),
     ("max-iters-string", "optimize",
      edited("optimize_trace.json", lambda c: c["task"].update(options={"max_iters": "x"}))),
     ("one-box-factor", "optimize",
@@ -296,8 +303,11 @@ MALFORMED = [
      edited("gramian.json", lambda c: c["system"].update(C=[[1.0, 0.0]]))),
     ("unknown-key-design", "gramian", edited("gramian.json", lambda c: c.update(
         system={**LONGITUDINAL, "design": {"b": 9.144, "c_bar": 3.45, "span": 9.0}}))),
-    ("unknown-key-trim", "optimize",
-     edited("optimize_trace.json", lambda c: c["system"].update(trim={"V0": 60.0, "gama0": 0.5}))),
+    ("unknown-key-trim", "optimize", edited("optimize_trace.json", lambda c: c["system"].update(
+        trim={"airspeed_knots": 150.0, "gama_deg": 0.5}))),
+    # a trim is given in flight units only
+    ("trim-si-keys", "optimize", edited("optimize_trace.json", lambda c: c["system"].update(
+        trim={"airspeed_knots": 150.0, "alpha0": 0.2, "V0": 60.0, "h0": 100.0, "gamma0": 0.0}))),
     # the model reads no trim pitch rate, so q0 is not a trim key
     ("trim-q0", "optimize", edited("optimize_trace.json", lambda c: c["system"].update(
         trim={"alpha_deg": 12.0, "airspeed_knots": 150.0, "q0": 0.3}))),
@@ -318,6 +328,20 @@ MALFORMED = [
      edited("optimize_trace.json", lambda c: c["task"].update(options={"max_iter": 5}))),
 ]
 
+# the part of the config error message that names the cause, per MALFORMED row
+MESSAGES = {
+    "lp-volume-descending-magnitudes": "magnitudes must be",
+    "lp-volume-zero-directions": "directions_per_shell must be >= 1",
+    # optimize's only option is max_iters
+    "zero-fd-step": "unknown keys in config.task.options: ['fd_step']",
+    "negative-feas-tol": "unknown keys in config.task.options: ['feas_tol']",
+    "unknown-key-trim": "unknown keys in config.system.trim: ['gama_deg']",
+    "trim-si-keys": "unknown keys in config.system.trim: ['V0', 'alpha0', 'gamma0', 'h0']",
+    # an SI trim has no airspeed in knots
+    "trim-without-v0": "config.system.trim needs 'airspeed_knots'",
+    "trim-q0-si": "config.system.trim needs 'airspeed_knots'",
+}
+
 # costate shells far outside the default wing's budget: no endpoint is affordable
 UNAFFORDABLE_GRID = {"magnitudes": [5.0, 20.0, 50.0, 100.0]}
 
@@ -334,15 +358,16 @@ NUMERIC = [
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("task,raw", [row[1:] for row in MALFORMED],
-                             ids=[row[0] for row in MALFORMED])
-    def test_malformed_config_exits_2(self, tmp_path, capsys, task, raw):
+    @pytest.mark.parametrize("case,task,raw", MALFORMED, ids=[row[0] for row in MALFORMED])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, case, task, raw):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert main([task, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
-        assert capsys.readouterr().err.startswith("reachkit: config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("reachkit: config error:")
+        assert MESSAGES.get(case, "") in err
 
     def test_zero_scalar_bound_runs(self, tmp_path):
         config = tmp_path / "config.json"

@@ -5,7 +5,8 @@ import pytest
 
 import reachkit.design
 import reachkit.lpreach
-from reachkit import LpSpec, LtiSystem, gramian_trace, reachability_gramian, sample_reach
+from reachkit import (LpSpec, LtiSystem, costate_grid, gramian_trace, reachability_gramian,
+                      sample_reach)
 from reachkit.design import (
     BASELINE_CHORD,
     BASELINE_DERIVATIVES,
@@ -15,7 +16,6 @@ from reachkit.design import (
     FunctionConstraint,
     GramianTraceConstraint,
     LpVolumeConstraint,
-    OptimizeOptions,
     ScalableDerivativeTable,
     StabilityDerivatives,
     TrimPoint,
@@ -200,6 +200,12 @@ class TestLpVolumeConstraint:
         # reachable-set volume grows like theta^n for the sampled hull
         assert abs((residual + v_base) / v_base - 1.3**2) <= 0.05 * 1.3**2
 
+    def test_scalar_magnitude_is_one_shell(self):
+        # a config's grid.magnitudes may be one number, as costate_grid accepts
+        constraint = LpVolumeConstraint(LpSpec(p=6, T=1.0), magnitudes=0.05,
+                                        directions_per_shell=8)
+        assert np.array_equal(constraint.grid_for(2), costate_grid(2, [0.05], 8))
+
     def test_grid_built_per_state_dimension(self):
         def make():
             return LpVolumeConstraint(LpSpec(p=6, T=1.0), magnitudes=[0.01, 0.02, 0.05, 0.1],
@@ -230,12 +236,6 @@ class TestLpVolumeConstraint:
         monkeypatch.setattr(reachkit.design, "convex_hull", counted)
         assert constraint._volume_at(problem, problem.baseline) == direct.volume > 0.0
         assert len(calls) == 1
-
-    def test_explicit_grid_is_kept(self):
-        grid = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        constraint = LpVolumeConstraint(LpSpec(p=6, T=1.0), grid=grid)
-        assert np.array_equal(constraint.grid_for(2), grid)
-        assert constraint.grid_for(4) is constraint.grid_for(2)
 
     def test_continuity_under_small_perturbations(self):
         # two design variables scale the two input-matrix rows independently
@@ -364,7 +364,7 @@ class TestOptimize:
             constraints=(GramianTraceConstraint(factor=1.0),),
             model=fragile_model,
         )
-        result = optimize(problem, OptimizeOptions(max_iters=20))
+        result = optimize(problem, max_iters=20)
         assert result.optimum["theta"] <= 1.4
         assert np.isfinite(result.objective_value)
 
@@ -380,12 +380,11 @@ class TestOptimize:
             constraints=(FunctionConstraint(broken, name="broken"),),
         )
         with pytest.raises(TypeError):
-            optimize(problem, OptimizeOptions(max_iters=2))
+            optimize(problem, max_iters=2)
 
     def test_options_domain(self):
-        for bad in ({"max_iters": -1}, {"fd_step": 0.0}, {"feas_tol": -1.0}):
-            with pytest.raises(ValueError):
-                OptimizeOptions(**bad)
+        with pytest.raises(ValueError, match="max_iters"):
+            optimize(analytic_problem(), max_iters=-1)
 
     def test_infeasible_box_returns_best_found(self):
         # constraint unreachable inside the box
@@ -395,7 +394,7 @@ class TestOptimize:
             baseline=DesignVariables({"x1": 0.5}),
             constraints=(FunctionConstraint(lambda dv: dv["x1"] - 5.0, name="impossible"),),
         )
-        result = optimize(problem, OptimizeOptions(max_iters=8))
+        result = optimize(problem, max_iters=8)
         assert not result.converged
         assert 0.0 <= result.optimum["x1"] <= 1.0
         # with no feasible point in the box, the least infeasible one seen wins
@@ -410,7 +409,7 @@ class TestOptimize:
             baseline=DesignVariables({"x1": 0.5}),
             constraints=(FunctionConstraint(lambda dv: 1.0 - dv["x1"] ** 2, name="disc"),),
         )
-        result = optimize(problem, OptimizeOptions(max_iters=1))
+        result = optimize(problem, max_iters=1)
         assert not result.converged
         assert result.history[-1][2][0] < 0.0
         assert result.optimum["x1"] == 0.5

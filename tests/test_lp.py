@@ -63,6 +63,13 @@ class TestLpSpec:
         with pytest.raises(ValueError):
             LpSpec(p=6, T=1.0, budget=-1.0)
 
+    @pytest.mark.parametrize("T,budget", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan),
+                                          (1.0, np.inf)],
+                             ids=["nan-horizon", "inf-horizon", "nan-budget", "inf-budget"])
+    def test_non_finite_horizon_or_budget_rejected(self, T, budget):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LpSpec(p=6, T=T, budget=budget)
+
 
 class TestLpOptimalControl:
     def test_zero_costate(self):
@@ -141,6 +148,13 @@ class TestCostateGrid:
             costate_grid(2, [2.0, 1.0], 8)
         with pytest.raises(ValueError):
             costate_grid(2, [-1.0], 8)
+
+    @pytest.mark.parametrize("magnitudes", [[1.0, np.inf], [np.nan], [1.0, np.nan]],
+                             ids=["inf", "nan", "nan-after-finite"])
+    def test_non_finite_magnitudes_rejected(self, magnitudes):
+        # a nan shell used to give nan costates, and sample_reach nan endpoints
+        with pytest.raises(ValueError, match="finite"):
+            costate_grid(2, magnitudes, 4)
 
 
 class TestSampleReach:
