@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import ControlBounds, boundary_curve, boundary_curve_to_csv, reach_hull_planar
+from .csvout import json_text
 from .design import (
     LP_VOLUME_DIRECTIONS,
     LP_VOLUME_MAGNITUDES,
@@ -168,7 +169,7 @@ def _parse_sweep(section: _Section, T: float, p=_REQUIRED, nodes=DEFAULT_NODES,
 
 
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    return json_text(obj).encode()
 
 
 def _parse_boundary(system: _Section, task: _Section):

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import norm as _gaussian
-from scipy.stats.qmc import Halton as _Halton
+from scipy.special import ndtri
 
 from .csvout import csv_text
 from .errors import DimensionError
@@ -173,6 +172,8 @@ def _certify(sys: LtiSystem, spec: LpSpec, grid, nodes: int):
         raise ValueError("costate grid must be nonempty")
     if grid.shape[1] != sys.n:
         raise DimensionError(f"grid rows must have dimension {sys.n}, got {grid.shape[1]}")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("costate grid entries must be finite")
     kernels = _quadrature_kernels(sys, spec.T, nodes)
     lam_norms = np.sum(np.abs(grid) ** spec.q, axis=1)
     return grid, kernels, lam_norms <= _radius(kernels[0], kernels[2], spec) * spec.budget**spec.p
@@ -265,14 +266,38 @@ def inner_approx(sys: LtiSystem, spec: LpSpec, grid, nodes: int = DEFAULT_NODES)
     return _sweep(spec, grid[certified], kernels, certified[certified])
 
 
+def _halton(d: int, count: int) -> np.ndarray:
+    """The first count points of the unscrambled Halton sequence in the
+    first d prime bases (2, 3, 5, 7 for d <= 4), starting at the origin.
+    Each radical inverse sums its digits in the order of
+    scipy.stats.qmc.Halton(scramble=False), so the points agree bit for bit."""
+    bases = []
+    candidate = 2
+    while len(bases) < d:
+        if all(candidate % b for b in bases):
+            bases.append(candidate)
+        candidate += 1
+    points = np.zeros((count, d))
+    for k, base in enumerate(bases):
+        q, scale = np.arange(count), 1.0 / base
+        while q.any():
+            points[:, k] += (q % base) * scale
+            scale /= base
+            q //= base
+    return points
+
+
 def _sphere_directions(n: int, count: int) -> np.ndarray:
+    """count unit directions: uniform angles for n = 2; otherwise the
+    unscrambled Halton points in bases 2, 3, 5, 7 (the first n primes)
+    mapped through the Gaussian quantile ndtri and normalised, skipping
+    points within 1e-9 of the cube's faces (the first, the origin, among them)."""
     if n == 2:
         angles = 2.0 * np.pi * np.arange(count) / count
         return np.column_stack([np.cos(angles), np.sin(angles)])
-    sampler = _Halton(d=n, scramble=False)
-    raw = sampler.random(count + 16)
+    raw = _halton(n, count + 16)
     raw = raw[np.all((raw > 1e-9) & (raw < 1.0 - 1e-9), axis=1)]
-    gauss = _gaussian.ppf(raw)
+    gauss = ndtri(raw)
     norms = np.linalg.norm(gauss, axis=1)
     gauss = gauss[norms > 1e-12]
     dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
@@ -283,9 +308,11 @@ def costate_grid(n: int, magnitudes, directions_per_shell: int) -> np.ndarray:
     """Deterministic costate grid of radius shells times sphere directions.
 
     Each shell of radius r contributes the 2n axis-aligned points +-r e_i
-    plus directions_per_shell low-discrepancy unit directions scaled by r
-    (uniform angles for n = 2, Halton-Gaussian for higher n). Exact
-    duplicates collapse to their first occurrence.
+    plus directions_per_shell low-discrepancy unit directions scaled by r:
+    uniform angles for n = 2; for higher n the unscrambled Halton sequence
+    in bases 2, 3, 5, 7 (the first n primes) mapped through the Gaussian
+    quantile ndtri and normalised. Exact duplicates collapse to their first
+    occurrence.
     """
     magnitudes = np.atleast_1d(np.asarray(magnitudes, dtype=float))
     if not (magnitudes.size and np.all((magnitudes > 0) & (magnitudes < np.inf))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
+from scipy.stats import norm, qmc
 
 from reachkit import (
     ControlBounds,
@@ -22,7 +24,8 @@ from reachkit import (
     reachability_gramian,
     sample_reach,
 )
-from reachkit.lpreach import _directions, _quadrature_kernels, _sphere_directions, simpson_weights
+from reachkit.lpreach import (_directions, _halton, _quadrature_kernels, _sphere_directions,
+                              simpson_weights)
 
 from helpers import (
     demo_system,
@@ -157,7 +160,54 @@ class TestCostateGrid:
             costate_grid(2, magnitudes, 4)
 
 
+def scipy_stats_costate_grid(n, magnitudes, directions_per_shell):
+    """The shell grid built from scipy.stats' Halton sampler and Gaussian
+    quantile, keeping each row whose bytes were not seen before."""
+    raw = qmc.Halton(d=n, scramble=False).random(directions_per_shell + 16)
+    raw = raw[np.all((raw > 1e-9) & (raw < 1.0 - 1e-9), axis=1)]
+    gauss = norm.ppf(raw)
+    gauss = gauss[np.linalg.norm(gauss, axis=1) > 1e-12]
+    dirs = (gauss / np.linalg.norm(gauss, axis=1, keepdims=True))[:directions_per_shell]
+    shell = np.vstack([np.eye(n), -np.eye(n), dirs])
+    points, seen = [], set()
+    for row in (np.asarray(magnitudes, dtype=float)[:, None, None] * shell).reshape(-1, n):
+        if row.tobytes() not in seen:
+            seen.add(row.tobytes())
+            points.append(row)
+    return np.array(points)
+
+
+class TestDirectionSampler:
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("count", [1, 2, 17, 318, 1000])
+    def test_halton_and_quantile_match_scipy_stats(self, d, count):
+        points = _halton(d, count)
+        assert points.tobytes() == qmc.Halton(d=d, scramble=False).random(count).tobytes()
+        inner = points[np.all((points > 1e-9) & (points < 1.0 - 1e-9), axis=1)]
+        assert ndtri(inner).tobytes() == norm.ppf(inner).tobytes()
+
+    def test_halton_bases_beyond_four_dimensions(self):
+        # the (d > 4)-th bases are the next primes, 11 and 13
+        assert _halton(6, 500).tobytes() == qmc.Halton(d=6, scramble=False).random(500).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("directions", [1, 24, 302, 1000])
+    def test_costate_grid_matches_scipy_stats_rebuild(self, n, directions):
+        magnitudes = [0.05, 0.5, 5.0, 100.0]
+        grid = costate_grid(n, magnitudes, directions)
+        assert grid.tobytes() == scipy_stats_costate_grid(n, magnitudes, directions).tobytes()
+
+
 class TestSampleReach:
+    @pytest.mark.parametrize("sweep", [sample_reach, inner_approx])
+    @pytest.mark.parametrize("row", [[np.nan, 1.0], [np.inf, 0.0], [0.0, -np.inf]],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_grid_rejected(self, sweep, row):
+        # a nan row used to sweep silently to the endpoint [nan, nan]
+        grid = [row, [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]
+        with pytest.raises(ValueError, match="finite"):
+            sweep(demo_system(), LpSpec(6, 1.0), grid, nodes=101)
+
     def test_origin_sample(self):
         cloud = sample_reach(demo_system(), SPEC6, np.zeros((1, 2)))
         s = cloud.samples[0]
