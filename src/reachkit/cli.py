@@ -176,12 +176,8 @@ def _parse_boundary(system: _Section, task: _Section):
     sys_ = _parse_system(system)
     if sys_.m != 1:
         raise ConfigError(f"boundary needs a single-input system, got m={sys_.m}")
-    raw = task.value("bounds")
-    if _is_number(raw):
-        bounds = ControlBounds.symmetric(raw)
-    else:
-        section = task.section("bounds")
-        bounds = ControlBounds(lower=section.array("lower"), upper=section.array("upper"))
+    section = task.section("bounds")
+    bounds = ControlBounds(lower=section.array("lower"), upper=section.array("upper"))
     if bounds.m != 1:
         raise ConfigError("task.bounds must be scalar for a single-input system")
     T = task.number("T", positive=True)
@@ -215,10 +211,12 @@ def _parse_gramian(system: _Section, task: _Section):
     return compute
 
 
-def _lp_args(system: _Section, task: _Section):
+def _lp_task(system: _Section, task: _Section, sweep, artifacts):
+    """A costate sweep of the configured system, rendered by artifacts."""
     sys_ = _parse_system(system)
     spec, radii, directions, nodes = _parse_sweep(task, task.number("T"))
-    return sys_, spec, costate_grid(sys_.n, radii, directions), nodes
+    grid = costate_grid(sys_.n, radii, directions)
+    return lambda: artifacts(sweep(sys_, spec, grid, nodes))
 
 
 def _cloud_artifacts(cloud) -> dict:
@@ -228,26 +226,10 @@ def _cloud_artifacts(cloud) -> dict:
     return artifacts
 
 
-def _parse_lp_sample(system: _Section, task: _Section):
-    args = _lp_args(system, task)
-    return lambda: _cloud_artifacts(sample_reach(*args))
-
-
-def _parse_inner_approx(system: _Section, task: _Section):
-    args = _lp_args(system, task)
-    return lambda: _cloud_artifacts(inner_approx(*args))
-
-
-def _parse_volume(system: _Section, task: _Section):
-    args = _lp_args(system, task)
-
-    def compute():
-        cloud = sample_reach(*args)
-        if cloud.hull is None:
-            raise ValueError("no reachable endpoints: volume undefined")
-        return {"hull.json": _json_bytes(polytope_to_json(cloud.hull))}
-
-    return compute
+def _volume_artifacts(cloud) -> dict:
+    if cloud.hull is None:
+        raise ValueError("no reachable endpoints: volume undefined")
+    return {"hull.json": _json_bytes(polytope_to_json(cloud.hull))}
 
 
 def _parse_constraint(constraint: _Section, n: int):
@@ -262,16 +244,9 @@ def _parse_constraint(constraint: _Section, n: int):
         constraint, horizon, p=LP_VOLUME_P, nodes=LP_VOLUME_NODES,
         magnitudes=LP_VOLUME_MAGNITUDES, directions=LP_VOLUME_DIRECTIONS,
     )
-    projection = constraint.value("projection", None)
-    if projection is not None and not (
-        isinstance(projection, list) and 2 <= len(projection) <= 4
-        and all(type(i) is int and 0 <= i < n for i in projection)
-        and len(set(projection)) == len(projection)
-    ):
-        raise ConfigError(
-            f"{constraint.path}.projection must list 2 to 4 distinct state indices below {n}")
-    lp_volume = LpVolumeConstraint(spec, factor, radii, directions, nodes, projection)
-    lp_volume.grid_for(n)  # rejects a malformed grid at parse time
+    lp_volume = LpVolumeConstraint(spec, factor, radii, directions, nodes,
+                                   constraint.value("projection", None))
+    lp_volume.grid_for(n)  # rejects a malformed grid or projection at parse time
     return lp_volume
 
 
@@ -311,9 +286,10 @@ def _parse_optimize(system: _Section, task: _Section):
 TASKS = {
     "boundary": _parse_boundary,
     "gramian": _parse_gramian,
-    "lp-sample": _parse_lp_sample,
-    "inner-approx": _parse_inner_approx,
-    "volume": _parse_volume,
+    # a row looks its sweep up at parse time, so a rebound cli.sample_reach runs
+    "lp-sample": lambda s, t: _lp_task(s, t, sample_reach, _cloud_artifacts),
+    "inner-approx": lambda s, t: _lp_task(s, t, inner_approx, _cloud_artifacts),
+    "volume": lambda s, t: _lp_task(s, t, sample_reach, _volume_artifacts),
     "optimize": _parse_optimize,
 }
 
@@ -341,30 +317,21 @@ def _parse(raw, task_override: str | None):
     return name, compute, out_dir, seed
 
 
-def _output_dir(path: str) -> Path:
-    """The output directory, which neither is nor lies under a file."""
-    out = Path(path)
-    for part in (out, *out.parents):
-        if part.exists() and not part.is_dir():
-            raise ConfigError(f"output path {str(part)!r} is a file, not a directory")
-    return out
-
-
 def run(raw, task: str | None = None, out_dir: str | None = None, seed: int | None = None) -> int:
     """Parse a config, compute its task, and write the artifacts plus
     manifest.json; out_dir and seed override the config's values.
 
-    Any error while parsing returns 2, as does an output directory that is
-    a file or refuses a write, and any error while computing 3. Nothing is
-    written until every byte is rendered, and a failed write removes what
-    the run wrote (a file of an earlier run that it overwrote stays lost).
+    Any error while parsing returns 2 and any error while computing 3.
+    Nothing is written until every byte is rendered; then an output
+    directory that is or lies under a file, or refuses a write, returns 2,
+    and the failed write removes what the run wrote (a file of an earlier
+    run that it overwrote stays lost).
     Data files are byte-identical across reruns of the same config and
     seed at a fixed BLAS thread count (lp-sample and optimize outputs
     differ between 1 and 2 OpenBLAS threads); only the manifest is dated.
     """
     try:
         name, compute, config_out, config_seed = _parse(raw, task)
-        out = _output_dir(config_out if out_dir is None else out_dir)
     except Exception as exc:
         print(f"reachkit: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -381,6 +348,7 @@ def run(raw, task: str | None = None, out_dir: str | None = None, seed: int | No
         "files": [{"name": file_name, "sha256": hashlib.sha256(data).hexdigest(),
                    "bytes": len(data)} for file_name, data in sorted(artifacts.items())],
     })
+    out = Path(config_out if out_dir is None else out_dir)
     made = [part for part in (out, *out.parents) if not part.exists()]
     written = []
     try:

@@ -245,10 +245,10 @@ class GramianTraceConstraint:
     name = "gramian_trace"
 
     def __init__(self, factor: float = 1.1, horizon: float = 1.0):
-        if factor <= 0:
-            raise ValueError(f"factor must be positive, got {factor}")
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
+        if not 0 < factor < np.inf:
+            raise ValueError(f"factor must be positive and finite, got {factor}")
+        if not 0 < horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {horizon}")
         self.factor = factor
         self.horizon = horizon
 
@@ -274,6 +274,7 @@ class LpVolumeConstraint:
     the volume varies smoothly with the design instead of jumping with the
     sampling. A degenerate or empty hull counts as volume zero, except at
     the baseline: no factor scales a zero volume, so there it is a ValueError.
+    A projection hulls 2 to 4 distinct states; grid_for(n) rejects one >= n.
     """
 
     name = "lp_volume"
@@ -287,18 +288,27 @@ class LpVolumeConstraint:
         nodes: int = LP_VOLUME_NODES,
         projection=None,
     ):
-        if factor <= 0:
-            raise ValueError(f"factor must be positive, got {factor}")
+        if not 0 < factor < np.inf:
+            raise ValueError(f"factor must be positive and finite, got {factor}")
+        if projection is not None:
+            axes = tuple(projection) if np.ndim(projection) == 1 else ()
+            if not (2 <= len(axes) <= 4 and all(
+                    isinstance(i, (int, np.integer)) and not isinstance(i, bool) and i >= 0
+                    for i in axes) and len(set(axes)) == len(axes)):
+                raise ValueError(f"projection must list 2 to 4 distinct states: {projection!r}")
+            projection = tuple(int(i) for i in axes)
         self.spec = spec
         self.factor = factor
         self.magnitudes = tuple(np.atleast_1d(magnitudes))
         self.directions_per_shell = directions_per_shell
         self.nodes = nodes
-        self.projection = None if projection is None else tuple(projection)
+        self.projection = projection
         self.degenerate_evaluations = 0
         self._grids = {}  # state dimension -> the grid built for it
 
     def grid_for(self, n: int) -> np.ndarray:
+        if self.projection is not None and max(self.projection) >= n:
+            raise ValueError(f"projection {self.projection} needs state indices below {n}")
         if n not in self._grids:
             self._grids[n] = costate_grid(n, self.magnitudes, self.directions_per_shell)
         return self._grids[n]

@@ -31,7 +31,9 @@ class Polytope:
     degenerate: bool = False
 
     def facet_violation(self, x) -> float:
-        """Largest signed facet residual of x; <= 0 means inside."""
+        """Largest signed facet residual of x; <= 0 means inside. qhull's
+        facet merging can leave a very thin hull's own input points outside,
+        by up to 3e-5 of the half-width on a 1e9 x 0.1 ellipse of 2000 points."""
         if self.degenerate:
             raise DegenerateGeometryError("polytope is degenerate")
         x = np.asarray(x, dtype=float)

@@ -13,6 +13,7 @@ from reachkit.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from reachkit.design import BASELINE_DERIVATIVES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SHIPPED = {
     "boundary.json": "boundary",
@@ -97,6 +98,14 @@ class TestArtifacts:
             assert fields[-1] == "true"  # certified
             assert fields[-2] == "true"  # and reachable
 
+    def test_readme_example_config_runs(self, tmp_path):
+        # the json block of README's command-line section, so doc drift fails here
+        section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+        raw = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        out = tmp_path / "out"
+        assert cli.run(raw, out_dir=str(out)) == EXIT_OK
+        assert {p.name for p in data_files(out)} == {"boundary.csv", "hull.json"}
+
     def test_optimize_payload(self, tmp_path):
         out = tmp_path / "out"
         run_cli("optimize", CONFIG_DIR / "optimize_trace.json", out)
@@ -128,7 +137,7 @@ class TestValidation:
         config = tmp_path / "missing.json"
         config.write_text(json.dumps({
             "system": {"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[1.0], [0.0]]},
-            "task": {"name": "boundary", "bounds": 1.0},
+            "task": {"name": "boundary", "bounds": {"lower": -1.0, "upper": 1.0}},
         }))
         code = main(["boundary", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
@@ -147,7 +156,8 @@ class TestValidation:
         bad_tasks = [
             ("lp-sample", {"name": "lp-sample", "T": 1.0, "p": 5}),
             ("lp-sample", {"name": "lp-sample", "T": -1.0, "p": 6}),
-            ("boundary", {"name": "boundary", "T": 1.0, "bounds": 1.0, "n_eta": 1}),
+            ("boundary", {"name": "boundary", "T": 1.0, "bounds": {"lower": -1.0, "upper": 1.0},
+                          "n_eta": 1}),
             ("lp-sample", {"name": "lp-sample", "T": 1.0, "p": 6,
                            "grid": {"magnitudes": [5.0, 1.0]}}),
         ]
@@ -239,6 +249,8 @@ MALFORMED = [
      edited("boundary.json", lambda c: c["task"]["bounds"].pop("upper"))),
     ("boundary-negative-scalar-bound", "boundary",
      edited("boundary.json", lambda c: c["task"].update(bounds=-1.0))),
+    ("bounds-lower-above-upper", "boundary",
+     edited("boundary.json", lambda c: c["task"].update(bounds={"lower": 1.0, "upper": -1.0}))),
     ("even-nodes", "lp-sample", edited("lp_sample.json", lambda c: c["task"].update(nodes=2000))),
     ("zero-directions", "volume",
      edited("volume.json", lambda c: c["task"]["grid"].update(directions_per_shell=0))),
@@ -330,6 +342,9 @@ MALFORMED = [
 
 # the part of the config error message that names the cause, per MALFORMED row
 MESSAGES = {
+    # bounds has one spelling, the lower/upper object
+    "boundary-negative-scalar-bound": "config.task.bounds must be an object",
+    "bounds-lower-above-upper": "need lower <= upper",
     "lp-volume-descending-magnitudes": "magnitudes must be",
     "lp-volume-zero-directions": "directions_per_shell must be >= 1",
     # optimize's only option is max_iters
@@ -371,8 +386,8 @@ class TestExitCodes:
 
     def test_zero_scalar_bound_runs(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(edited("boundary.json",
-                                            lambda c: c["task"].update(bounds=0.0))))
+        config.write_text(json.dumps(edited("boundary.json", lambda c: c["task"].update(
+            bounds={"lower": 0.0, "upper": 0.0}))))
         out = tmp_path / "out"
         assert main(["boundary", "--config", str(config), "--out", str(out)]) == EXIT_OK
 

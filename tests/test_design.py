@@ -122,7 +122,18 @@ class TestLongitudinalModel:
         assert abs(chord.M_alpha / base.M_alpha) > abs(chord.Z_alpha / base.Z_alpha)
 
 
+NON_FINITE_OR_NON_POSITIVE = [np.nan, np.inf, -np.inf, 0.0, -1.0]
+
+
 class TestGramianTraceConstraint:
+    @pytest.mark.parametrize("value", NON_FINITE_OR_NON_POSITIVE)
+    def test_factor_and_horizon_must_be_positive_and_finite(self, value):
+        # a nan factor used to give a nan residual and an unconverged solve
+        with pytest.raises(ValueError, match="factor must be positive and finite"):
+            GramianTraceConstraint(factor=value)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            GramianTraceConstraint(horizon=value)
+
     def test_baseline_residual_zero_at_factor_one(self):
         constraint = GramianTraceConstraint(factor=1.0)
         problem = scaled_input_problem(constraint)
@@ -184,6 +195,32 @@ class TestLpVolumeConstraint:
             directions_per_shell=48,
             nodes=301,
         )
+
+    @pytest.mark.parametrize("factor", NON_FINITE_OR_NON_POSITIVE)
+    def test_factor_must_be_positive_and_finite(self, factor):
+        with pytest.raises(ValueError, match="factor must be positive and finite"):
+            LpVolumeConstraint(LpSpec(6, 1.0), factor=factor)
+
+    @pytest.mark.parametrize("projection", [
+        [-1, 0], [1, 1], [0.5, 1], [True, 0], [0], [0, 1, 2, 3, 4], 3, "01", [[0, 1]],
+    ])
+    def test_projection_must_be_2_to_4_distinct_state_indices(self, projection):
+        with pytest.raises(ValueError, match="projection must list"):
+            LpVolumeConstraint(LpSpec(6, 1.0), projection=projection)
+
+    def test_projection_accepts_numpy_integers(self):
+        constraint = LpVolumeConstraint(LpSpec(6, 1.0), projection=np.array([3, 0]))
+        assert constraint.projection == (3, 0)
+        assert all(type(i) is int for i in constraint.projection)
+
+    def test_projection_must_index_the_system_states(self):
+        constraint = LpVolumeConstraint(LpSpec(6, 1.0), projection=[0, 9])
+        with pytest.raises(ValueError, match="below 4"):
+            constraint.grid_for(4)
+        assert constraint.grid_for(10).shape[1] == 10
+        # the 4-state wing used to let [0, 9] escape optimize as an IndexError
+        with pytest.raises(ValueError, match="below 4"):
+            optimize(surrogate_wing_problem(constraint))
 
     def test_baseline_residual_zero_at_factor_one(self):
         constraint = self.make_constraint(1.0)

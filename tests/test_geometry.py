@@ -192,6 +192,20 @@ class TestVolume:
             assert not poly.degenerate
             assert poly.volume == pytest.approx(np.pi * 1e8, rel=2e-4)
 
+    @pytest.mark.parametrize("angle", [0.0, 0.3])
+    def test_thin_ellipse_facet_violation_limit(self, angle):
+        # the limit facet_violation documents: at 200 points every input point
+        # is inside to coordinate roundoff; at 2000 qhull merges facets, and
+        # points lie outside by a small share of the 0.1 half-width
+        c, s = np.cos(angle), np.sin(angle)
+        for count, limit in ((200, 4 * np.finfo(float).eps * 1e9), (2000, 1e-4 * 0.1)):
+            t = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+            pts = np.column_stack([1e9 * np.cos(t), 0.1 * np.sin(t)]) @ [[c, s], [-s, c]]
+            poly = convex_hull(pts, 2)
+            assert max(poly.facet_violation(p) for p in pts) <= limit
+            inscribed = count / 2 * 1e9 * 0.1 * np.sin(2.0 * np.pi / count)
+            assert poly.volume == pytest.approx(inscribed, rel=1e-4)
+
     def test_unit_square_far_from_origin(self):
         poly = convex_hull(unit_cube_corners(2) + 1e8, 2)
         assert not poly.degenerate

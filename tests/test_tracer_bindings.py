@@ -45,7 +45,8 @@ DEMO = {"A": [[0.4, -0.3], [0.5, 1.7]], "B": [[1.0], [0.0]]}
 SWEEP = {"T": 1.0, "p": 6, "budget": 1.0, "nodes": 201,
          "grid": {"magnitudes": [0.1, 0.3, 1.0], "directions_per_shell": 16}}
 CLI_JOBS = {
-    "boundary": {"system": DEMO, "task": {"T": 1.0, "bounds": 1.0, "n_eta": 50}},
+    "boundary": {"system": DEMO, "task": {"T": 1.0, "bounds": {"lower": -1.0, "upper": 1.0},
+                                      "n_eta": 50}},
     "gramian": {"system": DEMO, "task": {"T": 1.0}},
     "lp-sample": {"system": DEMO, "task": SWEEP},
     "inner-approx": {"system": DEMO, "task": SWEEP},
