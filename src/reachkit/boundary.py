@@ -44,7 +44,8 @@ GRID_INTERVALS_PER_UNIT = 32
 MIN_GRID_INTERVALS = 64
 MAX_GRID_INTERVALS = 2**16
 RESCAN_FACTOR = 16
-# nodes of psi that switch_count forms at a time (64 anchor rows at 1e6 nodes)
+# nodes of psi that switch_count forms at a time (64 anchor rows at 1e6
+# nodes): the most a formed block holds; blocks of certain sign are not formed
 BLOCK_NODES = 2**16
 
 
@@ -105,12 +106,26 @@ class SwitchReport:
     identically_zero: np.ndarray
 
 
-def switching_function(sys: LtiSystem, c, T: float, t: float) -> np.ndarray:
-    """psi(t; c) = c^T e^{A (T - t)} B, one entry per input channel."""
+def _costate(sys: LtiSystem, c) -> np.ndarray:
+    """c as a float array, checked once per public call: shape (n,), finite, nonzero."""
     c = np.asarray(c, dtype=float)
     if c.shape != (sys.n,):
         raise DimensionError(f"c must have shape ({sys.n},), got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("c must be finite")
+    if not np.any(c):
+        raise ValueError("c must be nonzero")
+    return c
+
+
+def _psi(sys: LtiSystem, c: np.ndarray, T: float, t: float) -> np.ndarray:
+    """switching_function for a c already checked."""
     return (c @ matrix_exponential(sys.A, T - t)) @ sys.B
+
+
+def switching_function(sys: LtiSystem, c, T: float, t: float) -> np.ndarray:
+    """psi(t; c) = c^T e^{A (T - t)} B, one entry per input channel."""
+    return _psi(sys, _costate(sys, c), T, t)
 
 
 def _switching_grid(sys: LtiSystem, c, T: float, num: int) -> np.ndarray:
@@ -120,7 +135,7 @@ def _switching_grid(sys: LtiSystem, c, T: float, num: int) -> np.ndarray:
 
 
 def _refine_zero(sys, c, T, i, a, b):
-    f = lambda t: float(switching_function(sys, c, T, t)[i])
+    f = lambda t: float(_psi(sys, c, T, t)[i])
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -190,9 +205,7 @@ def bang_bang_control(
     """
     if not 0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got T={T}")
-    c = np.asarray(c, dtype=float)
-    if not np.any(c):
-        raise ValueError("c must be nonzero")
+    c = _costate(sys, c)
     if bounds.m != sys.m:
         raise DimensionError(f"bounds have {bounds.m} channels, system has {sys.m}")
     if scan_resolution is not None:
@@ -225,7 +238,7 @@ def bang_bang_control(
     mids = 0.5 * (edges[:-1] + edges[1:])
     values = np.empty((len(mids), sys.m))
     for k, tm in enumerate(mids):
-        psi_mid = switching_function(sys, c, T, tm)
+        psi_mid = _psi(sys, c, T, tm)
         values[k] = np.where((psi_mid >= 0.0) | zero, bounds.upper, bounds.lower)
     return PiecewiseConstantControl(switch_times=switch_times, values=values, horizon=T)
 
@@ -235,27 +248,54 @@ def switch_count(sys: LtiSystem, c, T: float, grid_points: int) -> SwitchReport:
 
     The count is over psi on linspace(0, T, grid_points), the nodes of
     _switching_grid, with zero samples skipped as in _channel_sign_changes.
-    psi is formed in blocks of about 64k nodes from the expm_grid factors, so
-    memory stays flat in grid_points: a block whose channel keeps one sign
-    costs only its max and min, and the sign of the last nonzero sample is
-    carried across block edges. Channels whose peak magnitude falls below
-    1e-12 * ||c|| * ||B|| are flagged identically zero and counted as zero
-    switches.
+    Node k * L + j is a_k . p_j for the expm_grid factors a_k (c^T times an
+    anchor) and p_j (a power times B). With p the mean of the p_j and r
+    their largest distance from it, Cauchy-Schwarz gives every node of row
+    k the sign of a_k . p whenever, in each channel,
+    |a_k . p| > ||a_k|| (r + 1e-12 max_j ||p_j||) + 1e-12 ||c|| ||B||;
+    the first slack covers the roundoff of the bound and of the GEMM.
+    psi is formed in blocks of about 64k nodes, so memory stays flat in
+    grid_points, and only blocks holding a row that fails the bound are
+    formed: a run of certain blocks is scanned as its samples a_k . p, one
+    per row. A block whose channel keeps one sign costs only its max and
+    min, and the sign of the last nonzero sample is carried across block
+    edges. Channels whose peak magnitude falls below 1e-12 * ||c|| * ||B||
+    are flagged identically zero and counted as zero switches; a certain
+    row proves its channels are not. The report equals the count over the
+    whole dense grid.
     """
     if grid_points < 100:
         raise ValueError("grid_points must be >= 100")
     if not 0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got T={T}")
-    c = np.asarray(c, dtype=float)
+    c = _costate(sys, c)
     # nodes run from t = T back to t = 0; a sign-change count has no direction
     anchors, powers, _ = _grid_factors(sys.A, T, 0.0, grid_points, left=c, right=sys.B)
     width = len(powers)
     rows = max(1, BLOCK_NODES // width)
+    zero = _zero_scale(sys, c)
+    # the row bound of the docstring; sure[b] says block b's rows all pass it
+    norms = lambda x: np.sqrt(np.einsum("...i,...i->...", x, x))
+    a, p = anchors[:, 0], powers.transpose(0, 2, 1)
+    center = p.mean(axis=0)
+    radius = norms(p - center).max(axis=0) + 1e-12 * norms(p).max(axis=0)
+    samples = a @ center.T
+    certain = np.all(np.abs(samples) > norms(a)[:, None] * radius + zero, axis=1)
+    sure = np.logical_and.reduceat(certain, np.arange(0, len(anchors), rows)).tolist()
     peak = np.zeros(sys.m)
     counts = np.zeros(sys.m, dtype=int)
     last_negative = [None] * sys.m
-    for row in range(0, len(anchors), rows):
-        psi = _grid_block(anchors[row:row + rows], powers)[: grid_points - row * width, 0]
+    row = 0
+    while row < len(anchors):
+        stop = row + rows
+        if sure[row // rows]:
+            # a run of all-certain blocks is scanned as its samples, one per row
+            while stop < len(anchors) and sure[stop // rows]:
+                stop += rows
+            psi = samples[row:stop]
+        else:
+            psi = _grid_block(anchors[row:stop], powers)[: grid_points - row * width, 0]
+        row = stop
         high, low = psi.max(axis=0), psi.min(axis=0)
         peak = np.maximum(peak, np.maximum(high, -low))
         for i in range(sys.m):
@@ -270,7 +310,7 @@ def switch_count(sys: LtiSystem, c, T: float, grid_points: int) -> SwitchReport:
                 first, last = bool(negative[0]), bool(negative[-1])
             counts[i] += last_negative[i] is not None and last_negative[i] != first
             last_negative[i] = last
-    identically_zero = peak < _zero_scale(sys, c)
+    identically_zero = peak < zero
     counts[identically_zero] = 0
     return SwitchReport(sign_changes=counts, identically_zero=identically_zero)
 

@@ -136,6 +136,42 @@ class TestBangBangControl:
             assert np.max(competitors @ c) <= c @ best + 1e-6
 
 
+BAD_COSTATES = {
+    "zero": ([0.0, 0.0], ValueError, "nonzero"),
+    "nan": ([np.nan, 1.0], ValueError, "finite"),
+    "inf": ([np.inf, 1.0], ValueError, "finite"),
+    "length-3": ([1.0, 0.0, 0.0], DimensionError, "shape"),
+    "row": ([[1.0, 0.0]], DimensionError, "shape"),
+}
+
+
+class TestCostateChecked:
+    @pytest.mark.parametrize("case", ["zero", "nan", "inf", "length-3", "row"])
+    def test_switch_count_rejects(self, case):
+        c, error, match = BAD_COSTATES[case]
+        with pytest.raises(error, match=match):
+            switch_count(demo_system(), c, 1.0, 1001)
+
+    # a zero c: TestBangBangControl::test_zero_c_rejected
+    @pytest.mark.parametrize("case", ["nan", "inf", "length-3", "row"])
+    def test_bang_bang_control_rejects(self, case):
+        c, error, match = BAD_COSTATES[case]
+        with pytest.raises(error, match=match):
+            bang_bang_control(demo_system(), UNIT_BOUNDS, c, 1.0)
+
+    def test_checked_once_per_call(self, monkeypatch):
+        calls = []
+        checked = boundary._costate
+        monkeypatch.setattr(boundary, "_costate",
+                            lambda *args: calls.append(args) or checked(*args))
+        u = bang_bang_control(demo_system(), UNIT_BOUNDS, [1.0, -1.0], 1.0)
+        # brentq evaluated psi many times to place the switch
+        assert len(u.switch_times) == 1
+        assert len(calls) == 1
+        switch_count(demo_system(), [1.0, -1.0], 1.0, 1001)
+        assert len(calls) == 2
+
+
 def random_basis(n, rng, cond_cap=30.0):
     """Random unit-column n-by-n basis with condition number <= cond_cap."""
     while True:
@@ -392,12 +428,68 @@ class TestBlockedSwitchCount:
         assert report.sign_changes.tolist() == [1, 1, 0]
         assert report.identically_zero.tolist() == [False, False, True]
 
+    @pytest.mark.parametrize("cls", ["saddle", "stiff"])
+    def test_fast_spectra(self, cls):
+        # the switch-scan classes with fast rates 15-40, beside slow modes
+        rng = np.random.default_rng(["saddle", "stiff"].index(cls) + 50)
+        changes = 0
+        for n in (2, 3, 4):
+            for m in (1, 2):
+                fast = rng.uniform(15.0, 40.0, 2)
+                if cls == "saddle":
+                    lam = [fast[0] / 2.0, -fast[1] / 2.0]
+                else:
+                    lam = [-fast[0], rng.uniform(-2.0, 0.5)]
+                sys = modal_system(np.diag(lam + list(rng.uniform(-2.0, 1.0, n - 2))), rng, m=m)
+                for grid_points in (100, 4099, 1_000_001):
+                    report = self.assert_matches_dense(sys, rng.standard_normal(n), 1.0,
+                                                       grid_points)
+                    changes += int(report.sign_changes.sum())
+        assert changes > 0
+
     def test_two_inputs_with_an_identically_zero_channel(self):
         sys = LtiSystem([[-1.0, 20.0, 0.0], [-20.0, -1.0, 0.0], [0.0, 0.0, 0.5]],
                         [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         report = self.assert_matches_dense(sys, np.array([1.0, 0.5, 0.0]), 1.0, 300_007)
         assert report.identically_zero.tolist() == [False, True]
         assert report.sign_changes[0] >= 5 and report.sign_changes[1] == 0
+
+
+class TestFormedNodes:
+    """switch_count forms psi only in blocks that hold a row of doubtful sign."""
+
+    @staticmethod
+    def formed_nodes(monkeypatch):
+        formed = []
+        block = boundary._grid_block
+        monkeypatch.setattr(boundary, "_grid_block",
+                            lambda anchors, powers: formed.append(len(anchors) * len(powers))
+                            or block(anchors, powers))
+        return formed
+
+    def test_demo_forms_at_most_two_blocks(self, monkeypatch):
+        sys, c = demo_system(), np.array([1.0, -1.0])
+        counts, identically_zero = dense_switch_count(sys, c, 1.0, 1_000_001)
+        formed = self.formed_nodes(monkeypatch)
+        report = switch_count(sys, c, 1.0, 1_000_001)
+        # the dense grid has 977 rows of 1024 nodes, 1,000,448 in all
+        assert sum(formed) <= 2 * 64 * 1024
+        assert report.sign_changes.tolist() == counts == [1]
+        assert report.identically_zero.tolist() == identically_zero
+
+    @pytest.mark.parametrize("case", ["fast-oscillator", "identically-zero"])
+    def test_every_node_formed_when_no_row_is_certain(self, case, monkeypatch):
+        if case == "fast-oscillator":
+            sys = LtiSystem([[-0.3, 3000.0], [-3000.0, -0.3]], [[0.0], [1.0]])
+            c, want = np.array([1.0, 0.4]), ([955], [False])
+        else:
+            sys, c = TestIdenticallyZeroChannel.decoupled_system()
+            want = ([0], [True])
+        assert dense_switch_count(sys, c, 1.0, 1_000_001) == want
+        formed = self.formed_nodes(monkeypatch)
+        report = switch_count(sys, c, 1.0, 1_000_001)
+        assert sum(formed) == 977 * 1024
+        assert (report.sign_changes.tolist(), report.identically_zero.tolist()) == want
 
 
 def sign_changes_by_sign_product(values):
