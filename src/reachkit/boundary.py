@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .csvout import csv_text
 from .errors import DimensionError, UnsupportedConfigurationError
@@ -135,6 +134,9 @@ def _switching_grid(sys: LtiSystem, c, T: float, num: int) -> np.ndarray:
 
 
 def _refine_zero(sys, c, T, i, a, b):
+    # imported on first use, so that importing reachkit skips scipy.optimize
+    from scipy.optimize import brentq
+
     f = lambda t: float(_psi(sys, c, T, t)[i])
     fa, fb = f(a), f(b)
     if fa == 0.0:

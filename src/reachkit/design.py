@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
-from .gramian import gramian_trace, reachability_gramian
+from .gramian import _gramian_matrix
 from .geometry import convex_hull
 from .lpreach import LpSpec, costate_grid, sample_reach
 from .lti import LtiSystem
@@ -253,17 +252,17 @@ class GramianTraceConstraint:
         self.horizon = horizon
 
     def baseline_trace(self, problem) -> float:
-        return problem.baseline_value(self, lambda: gramian_trace(
-            reachability_gramian(problem.build_system(problem.baseline), self.horizon)
-        ))
+        return problem.baseline_value(self, lambda: self._trace_at(problem, problem.baseline))
 
     def residual(self, problem, dv) -> float:
-        sys_dv = problem.build_system(dv)
-        tr = gramian_trace(reachability_gramian(sys_dv, self.horizon))
-        return tr - self.factor * self.baseline_trace(problem)
+        return self._trace_at(problem, dv) - self.factor * self.baseline_trace(problem)
 
     def scale(self, problem) -> float:
         return self.baseline_trace(problem)
+
+    def _trace_at(self, problem, dv) -> float:
+        # W alone: the eigensystem that reachability_gramian adds is never read here
+        return float(np.trace(_gramian_matrix(problem.build_system(dv), self.horizon)))
 
 
 class LpVolumeConstraint:
@@ -472,6 +471,9 @@ def optimize(problem: DesignProblem, max_iters: int = MAX_ITERS) -> OptResult:
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    # imported on first use, so that importing reachkit skips scipy.optimize
+    from scipy.optimize import minimize
+
     names = problem.names
     lb, ub = np.array([problem.box[n] for n in names], dtype=float).T
     ncons = len(problem.constraints)
@@ -513,7 +515,7 @@ def optimize(problem: DesignProblem, max_iters: int = MAX_ITERS) -> OptResult:
     record(x0)
     constraints = [{"type": "ineq", "fun": scaled_residuals,
                     "jac": lambda x: central_difference(scaled_residuals, x, lb, ub)}]
-    res = _scipy_minimize(
+    res = minimize(
         objective, x0, jac=lambda x: central_difference(objective, x, lb, ub),
         method="SLSQP", bounds=list(zip(lb, ub)), constraints=constraints if ncons else [],
         callback=record, options={"maxiter": max_iters, "ftol": SLSQP_FTOL},

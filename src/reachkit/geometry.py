@@ -3,8 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull as _QhullConvexHull
-from scipy.spatial import QhullError as _QhullError
 
 from .errors import DegenerateGeometryError, UnsupportedDimensionError
 
@@ -89,9 +87,12 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
 
+    # imported on first use, so that importing reachkit skips scipy.spatial
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
-        hull = _QhullConvexHull(points, qhull_options="Qt")
-    except _QhullError:
+        hull = ConvexHull(points, qhull_options="Qt")
+    except QhullError:
         return _degenerate_polytope(points, dim)
 
     idx = hull.vertices

@@ -64,16 +64,8 @@ class MinEnergyControl:
         return times, values
 
 
-def reachability_gramian(sys: LtiSystem, T: float) -> Gramian:
-    """Gramian W = integral of e^{A(T-s)} B B^T e^{A^T(T-s)} over [0, T].
-
-    The block exponential of [[-A, B B^T], [0, A^T]] gives W(h) in closed
-    form on a short step h = T / 2^k with ||A||_1 h <= 1, where e^{-A h}
-    cannot swamp the result. Doubling W(2t) = W(t) + e^{A t} W(t) e^{A^T t}
-    then reaches T; every step adds a PSD term, so nothing cancels on stiff
-    or unstable spectra. The result is symmetrized before the
-    eigendecomposition.
-    """
+def _gramian_matrix(sys: LtiSystem, T: float) -> np.ndarray:
+    """The symmetrized W of reachability_gramian, without its eigensystem."""
     if not 0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got T={T}")
     n = sys.n
@@ -92,7 +84,20 @@ def reachability_gramian(sys: LtiSystem, T: float) -> Gramian:
             step = step @ step
     if not np.all(np.isfinite(W)):
         raise NumericRangeError(f"Gramian overflowed for T = {T}")
-    W = 0.5 * (W + W.T)
+    return 0.5 * (W + W.T)
+
+
+def reachability_gramian(sys: LtiSystem, T: float) -> Gramian:
+    """Gramian W = integral of e^{A(T-s)} B B^T e^{A^T(T-s)} over [0, T].
+
+    The block exponential of [[-A, B B^T], [0, A^T]] gives W(h) in closed
+    form on a short step h = T / 2^k with ||A||_1 h <= 1, where e^{-A h}
+    cannot swamp the result. Doubling W(2t) = W(t) + e^{A t} W(t) e^{A^T t}
+    then reaches T; every step adds a PSD term, so nothing cancels on stiff
+    or unstable spectra. The result is symmetrized before the
+    eigendecomposition.
+    """
+    W = _gramian_matrix(sys, T)
     eigenvalues, eigenvectors = np.linalg.eigh(W)
     # zero out roundoff-scale negatives; anything larger stays visible
     floor = -1e-12 * max(1.0, float(np.max(np.abs(eigenvalues), initial=0.0)))

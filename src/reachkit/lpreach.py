@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from .csvout import csv_text
 from .errors import DimensionError
@@ -295,6 +294,9 @@ def _sphere_directions(n: int, count: int) -> np.ndarray:
     if n == 2:
         angles = 2.0 * np.pi * np.arange(count) / count
         return np.column_stack([np.cos(angles), np.sin(angles)])
+    # imported on first use, so that importing reachkit skips scipy.special
+    from scipy.special import ndtri
+
     raw = _halton(n, count + 16)
     raw = raw[np.all((raw > 1e-9) & (raw < 1.0 - 1e-9), axis=1)]
     gauss = ndtri(raw)

@@ -114,17 +114,22 @@ class PiecewiseConstantControl:
         return self.values[idx]
 
 
+def _square_finite(A) -> np.ndarray:
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionError(f"A must be square, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("A entries must be finite")
+    return A
+
+
 def matrix_exponential(A, t: float) -> np.ndarray:
     """e^{A t} by scaling-and-squaring with Pade approximants.
 
     Negative t is allowed. Raises NumericRangeError if the result
     overflows to non-finite values.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"A must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("A entries must be finite")
+    A = _square_finite(A)
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -134,23 +139,29 @@ def matrix_exponential(A, t: float) -> np.ndarray:
     return out
 
 
-def _doubling_table(A: np.ndarray, step: float, count: int) -> np.ndarray:
-    """e^{A r step} for r = 0..count-1, shape (count, n, n).
+def _expm_stack(A: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """e^{A t} for each t in times, shape (len(times), n, n), from one expm call.
 
-    Entry r is the product of the direct exponentials e^{A 2^j step} over
-    the set bits j of r, so no entry carries more than log2(count) factors.
-    Those exponentials come from one stacked expm call.
+    scipy's expm treats each matrix of a stack on its own, so entry i is
+    bit for bit the direct exponential of A * times[i].
     """
-    table = np.empty((count, A.shape[0], A.shape[0]))
-    table[0] = np.eye(A.shape[0])
-    levels = (count - 1).bit_length()
-    if levels == 0:
-        return table
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = _scipy_expm(np.multiply.outer(step * 2.0 ** np.arange(levels), A))
-    if not np.all(np.isfinite(powers)):
-        raise NumericRangeError(f"exp(A t) overflowed for |t| = {abs(step) * 2 ** (levels - 1)}")
-    for j in range(levels):
+        out = _scipy_expm(np.multiply.outer(times, A))
+    if not np.all(np.isfinite(out)):
+        raise NumericRangeError(f"exp(A t) overflowed for |t| = {np.max(np.abs(times))}")
+    return out
+
+
+def _doubling_table(powers: np.ndarray, count: int) -> np.ndarray:
+    """e^{A r h} for r = 0..count-1, shape (count, n, n), from powers[j] = e^{A h 2^j}.
+
+    Entry r is the product of powers[j] over the set bits j of r, so no
+    entry carries more than log2(count) factors; powers needs
+    (count - 1).bit_length() levels.
+    """
+    table = np.empty((count,) + powers.shape[1:])
+    table[0] = np.eye(powers.shape[1])
+    for j in range((count - 1).bit_length()):
         size = 1 << j
         top = min(2 * size, count)
         np.matmul(table[: top - size], powers[j], out=table[size:top])
@@ -165,19 +176,25 @@ def _grid_factors(A, t0: float, t1: float, num: int, left=None, right=None):
     is anchors[k // width] @ powers[k % width]. forward is False when that
     end is t1, so the caller reverses the nodes to get linspace order.
     """
-    A = np.ascontiguousarray(A, dtype=float)
+    A = _square_finite(A)
     if num < 1:
         raise ValueError("num must be >= 1")
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("t0 and t1 must be finite")
     start, end = (t0, t1) if num == 1 or abs(t0) <= abs(t1) else (t1, t0)
-    # the direct exponential also validates A before the stacked expm sees it
-    base = matrix_exponential(A, start)
     step = (end - start) / (num - 1) if num > 1 else 0.0
     width = 1 << math.ceil(math.log2(num) / 2)
     count = -(-num // width)
-    powers = _doubling_table(A, step, width)
-    anchors = base @ _doubling_table(A, width * step, count)
+    # width is 2^k, so the anchor steps width * step * 2^j continue the powers'
+    # doubling sequence step * 2^j, and one expm call serves both tables
+    k = width.bit_length() - 1
+    times = step * 2.0 ** np.arange(k + (count - 1).bit_length())
+    # a grid from t = 0 starts at the identity and needs no base exponential
+    exps = _expm_stack(A, np.append(times, start) if start else times)
+    powers = _doubling_table(exps[:k], width)
+    anchors = _doubling_table(exps[k:len(times)], count)
+    if start:
+        anchors = exps[-1] @ anchors
     if left is not None:
         anchors = np.atleast_2d(np.asarray(left, dtype=float)) @ anchors
     if right is not None:
@@ -243,6 +260,8 @@ def simulate(sys: LtiSystem, u, T: float, steps: int) -> Trajectory:
     integration nodes and are treated as constant within each step, which
     keeps the fourth order of the scheme across the discontinuities.
     """
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got T={T}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     grid = np.linspace(0.0, T, steps + 1)

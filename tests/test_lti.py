@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from reachkit import (
     simulate,
 )
 from reachkit.errors import DimensionError, IntervalError, NumericRangeError
-from reachkit.lti import _doubling_table
+from reachkit.lti import _doubling_table, _expm_stack, _grid_factors
 
 from helpers import (
     DEMO_EIG_FAST,
@@ -128,6 +130,21 @@ def doubling_table_by_level(A, step, count):
     return table
 
 
+def grid_factors_by_level(A, t0, t1, num, left=None, right=None):
+    """_grid_factors from a direct base exponential and per-level doubling tables: the reference."""
+    start, end = (t0, t1) if num == 1 or abs(t0) <= abs(t1) else (t1, t0)
+    step = (end - start) / (num - 1) if num > 1 else 0.0
+    width = 1 << math.ceil(math.log2(num) / 2)
+    count = -(-num // width)
+    powers = doubling_table_by_level(A, step, width)
+    anchors = matrix_exponential(A, start) @ doubling_table_by_level(A, width * step, count)
+    if left is not None:
+        anchors = np.atleast_2d(left) @ anchors
+    if right is not None:
+        powers = powers @ (right[:, None] if right.ndim == 1 else right)
+    return anchors, powers
+
+
 class TestDoublingTable:
     def test_stacked_expm_matches_per_level_calls_exactly(self):
         rng = np.random.default_rng(12)
@@ -136,12 +153,35 @@ class TestDoublingTable:
             A = rng.standard_normal((n, n)) * rng.uniform(0.1, 30.0)
             step = rng.uniform(1e-6, 1e-2) * rng.choice([-1.0, 1.0])
             for count in (1, 2, 3, 17, 32, 33, 1001):
-                assert np.array_equal(_doubling_table(A, step, count),
+                powers = _expm_stack(A, step * 2.0 ** np.arange((count - 1).bit_length()))
+                assert np.array_equal(_doubling_table(powers, count),
                                       doubling_table_by_level(A, step, count))
+
+    def test_grid_factors_match_per_level_construction_bytes(self):
+        # one stacked expm for both tables, and no base factor from t = 0
+        rng = np.random.default_rng(25)
+        for case in range(120):
+            n = int(rng.integers(1, 5))
+            A = rng.standard_normal((n, n)) * rng.uniform(0.1, 30.0)
+            A = [A, np.triu(A), np.diag(np.diag(A))][case % 3]
+            T = rng.uniform(0.01, 2.0)
+            t0, t1 = [(0.0, T), (T, 0.0), (0.3 * T, T), (T, 0.5 * T)][case % 4]
+            num = int(rng.choice([1, 2, 3, 17, 64, 65, 1001, 4097]))
+            left = rng.standard_normal(n) if case % 2 else None
+            right = rng.standard_normal((n, 2)) if case % 5 < 3 else None
+            got = _grid_factors(A, t0, t1, num, left, right)[:2]
+            want = grid_factors_by_level(A, t0, t1, num, left, right)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_nonfinite_A_raises_value_error_from_t0(self):
+        for t0, t1 in ((0.0, 1.0), (1.0, 0.0), (0.5, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                expm_grid([[np.nan, 0.0], [0.0, 1.0]], t0, t1, 9)
 
     def test_overflow_raises(self):
         with pytest.raises(NumericRangeError):
-            _doubling_table(np.diag([1000.0, 1000.0]), 1.0, 4)
+            _expm_stack(np.diag([1000.0, 1000.0]), np.array([1.0, 2.0]))
         with pytest.raises(NumericRangeError):
             expm_grid(np.diag([1000.0, 1000.0]), 0.0, 1000.0, 5)
 
@@ -330,6 +370,11 @@ class TestSimulate:
         sys = LtiSystem(np.zeros((2, 2)), [[1.0], [0.0]])
         with pytest.raises(TypeError):
             simulate(sys, np.ones((65, 1)), 1.0, 64)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_horizon(self, T):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            simulate(demo_system(), lambda t: np.array([1.0]), T, 10)
 
     def test_rk4_fourth_order(self):
         sys = demo_system()
