@@ -211,9 +211,12 @@ def _parse_gramian(system: _Section, task: _Section):
     return compute
 
 
-def _lp_task(system: _Section, task: _Section, sweep, artifacts):
-    """A costate sweep of the configured system, rendered by artifacts."""
+def _lp_task(system: _Section, task: _Section, sweep, artifacts, needs_hull=False):
+    """A costate sweep of the configured system, rendered by artifacts; a
+    task that needs the endpoints' hull needs 2 to 4 states."""
     sys_ = _parse_system(system)
+    if needs_hull and not 2 <= sys_.n <= 4:
+        raise ConfigError(f"volume needs a system with 2 to 4 states, got n={sys_.n}")
     spec, radii, directions, nodes = _parse_sweep(task, task.number("T"))
     grid = costate_grid(sys_.n, radii, directions)
     return lambda: artifacts(sweep(sys_, spec, grid, nodes))
@@ -244,9 +247,8 @@ def _parse_constraint(constraint: _Section, n: int):
         constraint, horizon, p=LP_VOLUME_P, nodes=LP_VOLUME_NODES,
         magnitudes=LP_VOLUME_MAGNITUDES, directions=LP_VOLUME_DIRECTIONS,
     )
-    lp_volume = LpVolumeConstraint(spec, factor, radii, directions, nodes,
-                                   constraint.value("projection", None))
-    lp_volume.grid_for(n)  # rejects a malformed grid or projection at parse time
+    lp_volume = LpVolumeConstraint(spec, factor, radii, directions, nodes)
+    lp_volume.grid_for(n)  # rejects a malformed grid or state count at parse time
     return lp_volume
 
 
@@ -289,7 +291,7 @@ TASKS = {
     # a row looks its sweep up at parse time, so a rebound cli.sample_reach runs
     "lp-sample": lambda s, t: _lp_task(s, t, sample_reach, _cloud_artifacts),
     "inner-approx": lambda s, t: _lp_task(s, t, inner_approx, _cloud_artifacts),
-    "volume": lambda s, t: _lp_task(s, t, sample_reach, _volume_artifacts),
+    "volume": lambda s, t: _lp_task(s, t, sample_reach, _volume_artifacts, needs_hull=True),
     "optimize": _parse_optimize,
 }
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UnsupportedDimensionError
 from .gramian import _gramian_matrix
-from .geometry import convex_hull
 from .lpreach import LpSpec, costate_grid, sample_reach
 from .lti import LtiSystem
 
@@ -273,7 +273,8 @@ class LpVolumeConstraint:
     the volume varies smoothly with the design instead of jumping with the
     sampling. A degenerate or empty hull counts as volume zero, except at
     the baseline: no factor scales a zero volume, so there it is a ValueError.
-    A projection hulls 2 to 4 distinct states; grid_for(n) rejects one >= n.
+    The volume is that of the cloud's own hull, so a system needs 2 to 4
+    states; grid_for(n) rejects any other n.
     """
 
     name = "lp_volume"
@@ -285,39 +286,27 @@ class LpVolumeConstraint:
         magnitudes=LP_VOLUME_MAGNITUDES,
         directions_per_shell: int = LP_VOLUME_DIRECTIONS,
         nodes: int = LP_VOLUME_NODES,
-        projection=None,
     ):
         if not 0 < factor < np.inf:
             raise ValueError(f"factor must be positive and finite, got {factor}")
-        if projection is not None:
-            axes = tuple(projection) if np.ndim(projection) == 1 else ()
-            if not (2 <= len(axes) <= 4 and all(
-                    isinstance(i, (int, np.integer)) and not isinstance(i, bool) and i >= 0
-                    for i in axes) and len(set(axes)) == len(axes)):
-                raise ValueError(f"projection must list 2 to 4 distinct states: {projection!r}")
-            projection = tuple(int(i) for i in axes)
         self.spec = spec
         self.factor = factor
         self.magnitudes = tuple(np.atleast_1d(magnitudes))
         self.directions_per_shell = directions_per_shell
         self.nodes = nodes
-        self.projection = projection
         self.degenerate_evaluations = 0
         self._grids = {}  # state dimension -> the grid built for it
 
     def grid_for(self, n: int) -> np.ndarray:
-        if self.projection is not None and max(self.projection) >= n:
-            raise ValueError(f"projection {self.projection} needs state indices below {n}")
+        if not 2 <= n <= 4:
+            raise UnsupportedDimensionError(f"a reach-set volume needs 2 to 4 states, got n={n}")
         if n not in self._grids:
             self._grids[n] = costate_grid(n, self.magnitudes, self.directions_per_shell)
         return self._grids[n]
 
     def _volume_at(self, problem, dv) -> float:
         sys_dv = problem.build_system(dv)
-        cloud = sample_reach(sys_dv, self.spec, self.grid_for(sys_dv.n), nodes=self.nodes)
-        axes = list(self.projection or range(sys_dv.n))
-        pts = cloud.samples.endpoint[cloud.samples.reachable][:, axes]
-        hull = convex_hull(pts, dim=len(axes)) if len(pts) else None
+        hull = sample_reach(sys_dv, self.spec, self.grid_for(sys_dv.n), nodes=self.nodes).hull
         if hull is None or hull.degenerate:
             self.degenerate_evaluations += 1
             logger.warning("degenerate reach-set hull at %r; volume treated as 0", dv)

@@ -118,8 +118,8 @@ def ellipsoid_axes(g: Gramian, c: float):
     sqrt(c * lambda_i) along eigenvector v_i. Returned sorted by
     descending length.
     """
-    if c <= 0:
-        raise ValueError(f"budget must be positive, got c={c}")
+    if not 0 < c < np.inf:
+        raise ValueError(f"budget must be positive and finite, got c={c}")
     lengths = np.sqrt(c * np.clip(g.eigenvalues, 0.0, None))
     return [(float(lengths[i]), g.eigenvectors[:, i]) for i in range(len(lengths))]
 

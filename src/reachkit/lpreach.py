@@ -127,6 +127,8 @@ def lp_optimal_control(
     lambda0 = np.asarray(lambda0, dtype=float)
     if lambda0.shape != (sys.n,):
         raise DimensionError(f"lambda0 must have shape ({sys.n},), got {lambda0.shape}")
+    if not np.all(np.isfinite(lambda0)):
+        raise ValueError("lambda0 entries must be finite")
     times = np.linspace(0.0, spec.T, num_points)
     z = expm_grid(-sys.A.T, 0.0, spec.T, num_points, left=-sys.B.T, right=lambda0)[:, :, 0]
     return LpOptimalControl(

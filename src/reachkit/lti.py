@@ -92,7 +92,8 @@ class SpectrumClass:
 class PiecewiseConstantControl:
     """Piecewise-constant control: values[k] holds on [t_k, t_{k+1}).
 
-    switch_times are the interior breakpoints; values has one more row.
+    switch_times are the interior breakpoints, finite and ascending (equal
+    neighbours allowed); values has one more row.
     Evaluation is right-continuous at the breakpoints.
     """
 
@@ -108,6 +109,9 @@ class PiecewiseConstantControl:
                 "need len(switch_times) + 1 value rows, got "
                 f"{self.values.shape[0]} rows for {len(self.switch_times)} switches"
             )
+        times = self.switch_times
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) >= 0)):
+            raise ValueError(f"switch_times must be finite and ascending, got {times}")
 
     def __call__(self, t):
         idx = np.searchsorted(self.switch_times, t, side="right")
@@ -132,15 +136,12 @@ def matrix_exponential(A, t: float) -> np.ndarray:
     A = _square_finite(A)
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _scipy_expm(A * t)
-    if not np.all(np.isfinite(out)):
-        raise NumericRangeError(f"exp(A t) overflowed for |t| = {abs(t)}")
-    return out
+    return _expm_stack(A, t)
 
 
 def _expm_stack(A: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """e^{A t} for each t in times, shape (len(times), n, n), from one expm call.
+    """e^{A t} for each t in times, shape (len(times), n, n), from one expm call;
+    a scalar time gives the one (n, n) exponential.
 
     scipy's expm treats each matrix of a stack on its own, so entry i is
     bit for bit the direct exponential of A * times[i].

@@ -285,12 +285,12 @@ MALFORMED = [
      edited("optimize_trace.json", lambda c: c["task"].update(options={"fd_step": 0.0}))),
     ("negative-feas-tol", "optimize",
      edited("optimize_trace.json", lambda c: c["task"].update(options={"feas_tol": -1.0}))),
-    ("projection-out-of-range", "optimize",
-     edited("optimize_trace.json",
-            lambda c: c["task"].update(constraint=lp_volume_constraint(projection=[0, 9])))),
-    ("projection-repeated", "optimize",
-     edited("optimize_trace.json",
-            lambda c: c["task"].update(constraint=lp_volume_constraint(projection=[1, 1])))),
+    # a volume hulls the endpoints in 2 to 4 states; the system shape is known at parse
+    ("volume-one-state", "volume",
+     edited("volume.json", lambda c: c["system"].update(A=[[0.4]], B=[[1.0]]))),
+    ("volume-five-states", "volume",
+     edited("volume.json", lambda c: c["system"].update(
+         A=[[-1.0 if i == j else 0.0 for j in range(5)] for i in range(5)], B=[[1.0]] * 5))),
     ("empty-magnitudes", "lp-sample",
      edited("lp_sample.json", lambda c: c["task"]["grid"].update(magnitudes=[]))),
     ("string-matrix-entry", "gramian",
@@ -338,6 +338,9 @@ MALFORMED = [
      edited("optimize_trace.json", lambda c: c["task"]["constraint"].update(facter=1.2))),
     ("unknown-key-options", "optimize",
      edited("optimize_trace.json", lambda c: c["task"].update(options={"max_iter": 5}))),
+    # an lp_volume constraint measures the full-state hull, so it has no projection
+    ("unknown-key-projection", "optimize", edited("optimize_trace.json", lambda c: c["task"].update(
+        constraint=lp_volume_constraint(projection=[0, 1])))),
 ]
 
 # the part of the config error message that names the cause, per MALFORMED row
@@ -355,6 +358,9 @@ MESSAGES = {
     # an SI trim has no airspeed in knots
     "trim-without-v0": "config.system.trim needs 'airspeed_knots'",
     "trim-q0-si": "config.system.trim needs 'airspeed_knots'",
+    "volume-one-state": "volume needs a system with 2 to 4 states, got n=1",
+    "volume-five-states": "volume needs a system with 2 to 4 states, got n=5",
+    "unknown-key-projection": "unknown keys in config.task.constraint: ['projection']",
 }
 
 # costate shells far outside the default wing's budget: no endpoint is affordable
@@ -366,9 +372,6 @@ NUMERIC = [
     ("lp-volume-empty-baseline", "optimize",
      edited("optimize_trace.json", lambda c: c["task"].update(
          constraint=lp_volume_constraint(grid=UNAFFORDABLE_GRID)))),
-    ("lp-volume-empty-projected-baseline", "optimize",
-     edited("optimize_trace.json", lambda c: c["task"].update(
-         constraint=lp_volume_constraint(grid=UNAFFORDABLE_GRID, projection=[0, 1])))),
 ]
 
 

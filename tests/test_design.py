@@ -26,6 +26,7 @@ from reachkit.design import (
     optimize,
     surrogate_wing_problem,
 )
+from reachkit.errors import UnsupportedDimensionError
 from reachkit.geometry import convex_hull
 
 DEMO_A = np.array([[0.4, -0.3], [0.5, 1.7]])
@@ -201,26 +202,18 @@ class TestLpVolumeConstraint:
         with pytest.raises(ValueError, match="factor must be positive and finite"):
             LpVolumeConstraint(LpSpec(6, 1.0), factor=factor)
 
-    @pytest.mark.parametrize("projection", [
-        [-1, 0], [1, 1], [0.5, 1], [True, 0], [0], [0, 1, 2, 3, 4], 3, "01", [[0, 1]],
-    ])
-    def test_projection_must_be_2_to_4_distinct_state_indices(self, projection):
-        with pytest.raises(ValueError, match="projection must list"):
-            LpVolumeConstraint(LpSpec(6, 1.0), projection=projection)
-
-    def test_projection_accepts_numpy_integers(self):
-        constraint = LpVolumeConstraint(LpSpec(6, 1.0), projection=np.array([3, 0]))
-        assert constraint.projection == (3, 0)
-        assert all(type(i) is int for i in constraint.projection)
-
-    def test_projection_must_index_the_system_states(self):
-        constraint = LpVolumeConstraint(LpSpec(6, 1.0), projection=[0, 9])
-        with pytest.raises(ValueError, match="below 4"):
-            constraint.grid_for(4)
-        assert constraint.grid_for(10).shape[1] == 10
-        # the 4-state wing used to let [0, 9] escape optimize as an IndexError
-        with pytest.raises(ValueError, match="below 4"):
-            optimize(surrogate_wing_problem(constraint))
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_volume_needs_2_to_4_states(self, n):
+        constraint = LpVolumeConstraint(LpSpec(6, 1.0))
+        with pytest.raises(UnsupportedDimensionError, match="2 to 4 states, got n="):
+            constraint.grid_for(n)
+        problem = DesignProblem(
+            objective=lambda dv: dv["theta"], box={"theta": (0.5, 2.0)},
+            baseline=DesignVariables({"theta": 1.0}), constraints=(constraint,),
+            model=lambda dv: LtiSystem(-np.eye(n), dv["theta"] * np.ones((n, 1))),
+        )
+        with pytest.raises(UnsupportedDimensionError):
+            optimize(problem)
 
     def test_baseline_residual_zero_at_factor_one(self):
         constraint = self.make_constraint(1.0)
@@ -256,23 +249,28 @@ class TestLpVolumeConstraint:
         assert reused.grid_for(4).shape[1] == 4 and reused.grid_for(2).shape[1] == 2
         assert reused.grid_for(4) is reused.grid_for(4)  # built once, not per call
 
-    def test_projected_volume_hulls_once(self, monkeypatch):
+    def test_volume_is_the_cloud_hull_built_once(self, monkeypatch):
         constraint = LpVolumeConstraint(LpSpec(p=6, T=1.0), magnitudes=[0.01, 0.02, 0.05, 0.1],
-                                        directions_per_shell=8, nodes=301, projection=(0, 1))
+                                        directions_per_shell=8, nodes=301)
         problem = surrogate_wing_problem(constraint)
-        cloud = sample_reach(problem.build_system(problem.baseline), constraint.spec,
-                             constraint.grid_for(4), nodes=301)
-        direct = convex_hull(cloud.samples.endpoint[cloud.samples.reachable][:, [0, 1]], dim=2)
-        calls = []
+        clouds, hulls = [], []
+
+        def sampled(*args, **kwargs):
+            clouds.append(sample_reach(*args, **kwargs))
+            return clouds[-1]
 
         def counted(*args, **kwargs):
-            calls.append(args)
-            return convex_hull(*args, **kwargs)
+            hulls.append(convex_hull(*args, **kwargs))
+            return hulls[-1]
 
+        monkeypatch.setattr(reachkit.design, "sample_reach", sampled)
         monkeypatch.setattr(reachkit.lpreach, "convex_hull", counted)
-        monkeypatch.setattr(reachkit.design, "convex_hull", counted)
-        assert constraint._volume_at(problem, problem.baseline) == direct.volume > 0.0
-        assert len(calls) == 1
+        volume = constraint._volume_at(problem, problem.baseline)
+        assert len(clouds) == 1 and len(hulls) == 1
+        assert clouds[0].hull is hulls[0]
+        assert volume == hulls[0].volume > 0.0
+        # the cloud's hull is the only one: design builds none of its own
+        assert "convex_hull" not in vars(reachkit.design)
 
     def test_continuity_under_small_perturbations(self):
         # two design variables scale the two input-matrix rows independently

@@ -138,6 +138,15 @@ class TestEllipsoidAxes:
         with pytest.raises(ValueError):
             ellipsoid_axes(g, 0.0)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_budget_finite(self, c):
+        # a non-finite budget used to give nan or inf axis lengths
+        g = reachability_gramian(demo_system(), 1.0)
+        with pytest.raises(ValueError, match="budget must be positive and finite"):
+            ellipsoid_axes(g, c)
+        with pytest.raises(ValueError, match="budget must be positive and finite"):
+            ellipsoid_to_json(g, c)
+
     def test_axis_tips_reached_at_unit_cost(self):
         sys = demo_system()
         g = reachability_gramian(sys, 1.0)

@@ -80,6 +80,12 @@ class TestLpOptimalControl:
         assert np.allclose(control.values, 0.0)
         assert np.allclose(control(0.3), [0.0])
 
+    @pytest.mark.parametrize("lambda0", [[np.nan, 1.0], [np.inf, 0.0]], ids=["nan", "inf"])
+    def test_non_finite_costate_rejected(self, lambda0):
+        # a non-finite costate used to give nan control values
+        with pytest.raises(ValueError, match="lambda0 entries must be finite"):
+            lp_optimal_control(demo_system(), lambda0, SPEC6)
+
     def test_scalar_integrator_p2(self):
         sys = LtiSystem([[0.0]], [[1.0]])
         control = lp_optimal_control(sys, [-1.0], LpSpec(p=2, T=1.0))

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from reachkit import (
     LtiSystem,
+    PiecewiseConstantControl,
     classify_spectrum,
     convolution_integral,
     expm_grid,
@@ -100,8 +101,31 @@ class TestMatrixExponential:
             matrix_exponential(np.ones((2, 3)), 1.0)
 
     def test_overflow_raises(self):
-        with pytest.raises(NumericRangeError):
+        with pytest.raises(NumericRangeError, match=r"overflowed for \|t\| = 1000.0$"):
             matrix_exponential(np.diag([1000.0, 1000.0]), 1000.0)
+
+    def test_equals_scipy_expm_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 3, 5):
+            A = rng.standard_normal((n, n))
+            t = float(rng.uniform(-3.0, 3.0))
+            assert np.array_equal(matrix_exponential(A, t), expm(A * t))
+
+
+class TestPiecewiseConstantControl:
+    def test_equal_neighbours_allowed(self):
+        u = PiecewiseConstantControl([0.2, 0.2, 0.5], [[1.0], [-1.0], [2.0], [-2.0]], 1.0)
+        assert [u(t)[0] for t in (0.1, 0.2, 0.3, 0.5)] == [1.0, 2.0, 2.0, -2.0]
+
+    def test_rejects_decreasing_switch_times(self):
+        # unsorted times used to pick the wrong level: u(0.4) gave 1, not -1
+        with pytest.raises(ValueError, match="finite and ascending"):
+            PiecewiseConstantControl([0.6, 0.2], [[1.0], [-1.0], [1.0]], 1.0)
+
+    @pytest.mark.parametrize("times", [[np.nan], [0.2, np.inf]], ids=["nan", "inf"])
+    def test_rejects_non_finite_switch_times(self, times):
+        with pytest.raises(ValueError, match="finite and ascending"):
+            PiecewiseConstantControl(times, np.ones((len(times) + 1, 1)), 1.0)
 
 
 class TestExpmGrid:
