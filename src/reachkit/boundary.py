@@ -15,6 +15,7 @@ from .geometry import Polytope, convex_hull
 from .lti import (
     LtiSystem,
     PiecewiseConstantControl,
+    _expm_stack,
     _grid_block,
     _grid_factors,
     classify_spectrum,
@@ -44,7 +45,7 @@ MIN_GRID_INTERVALS = 64
 MAX_GRID_INTERVALS = 2**16
 RESCAN_FACTOR = 16
 # nodes of psi that switch_count forms at a time (64 anchor rows at 1e6
-# nodes): the most a formed block holds; blocks of certain sign are not formed
+# nodes): the most a formed block holds; rows of certain sign are not formed
 BLOCK_NODES = 2**16
 
 
@@ -134,10 +135,41 @@ def _switching_grid(sys: LtiSystem, c, T: float, num: int) -> np.ndarray:
 
 
 def _refine_zero(sys, c, T, i, a, b):
+    """The zero of psi_i in the grid bracket (a, b), to brentq precision.
+
+    With h = b - a and r = c^T e^{A (T - b)}, psi_i(t) = r e^{A (b - t)} b_i
+    for column b_i of B. When 2 ||A||_1 h <= 1/4, psi_i is evaluated as its
+    Taylor polynomial sum_k (r A^k b_i / k!) (b - t)^k, kept up to the K with
+    (2 ||A||_1 h)^(K+1) / (K+1)! < 1e-18, so it is exact to roundoff for
+    |b - t| <= 2h, which holds every point evaluated below, and one
+    exponential serves the whole refinement; a wider bracket evaluates
+    psi_i directly. A bracket whose endpoints do not differ in sign holds a
+    zero on a grid node and is widened by one step beyond it; one that
+    still shows no sign change gives its midpoint.
+    """
     # imported on first use, so that importing reachkit skips scipy.optimize
     from scipy.optimize import brentq
 
-    f = lambda t: float(_psi(sys, c, T, t)[i])
+    reach = 2.0 * np.linalg.norm(sys.A, 1) * (b - a)
+    if reach <= 0.25:
+        # terms[k] = A^k b_i / k!, up to the first k whose successor's
+        # bound reach^(k+1) / (k+1)! is negligible
+        terms, bound = [sys.B[:, i]], reach
+        while bound >= 1e-18:
+            terms.append(sys.A @ terms[-1] / len(terms))
+            bound *= reach / len(terms)
+        r = c @ matrix_exponential(sys.A, T - b)
+        # Horner's rule from the top coefficient; the expansion point is this b,
+        # not the b the node-zero branch below may move
+        coefficients = (r @ np.column_stack(terms))[::-1].tolist()
+
+        def f(t, center=b):
+            s, value = center - t, 0.0
+            for coefficient in coefficients:
+                value = value * s + coefficient
+            return value
+    else:
+        f = lambda t: float(_psi(sys, c, T, t)[i])
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -194,7 +226,10 @@ def bang_bang_control(
     Channel i takes upper[i] where psi_i(t; c) >= 0 and lower[i] elsewhere.
     Sign changes are bracketed on a uniform grid over [0, T] and refined by
     brentq, so the returned breakpoints are accurate to root-finding
-    precision. By default the grid has 32 intervals per unit of
+    precision; each refinement costs one exponential, since on a short
+    bracket psi is a Taylor polynomial about its end (see _refine_zero),
+    and the levels of all segments come from one stacked exponential at
+    their midpoints. By default the grid has 32 intervals per unit of
     ||A||_1 T + T max|Im lambda| / pi (between 64 and 2^16), which resolves
     the fastest rate and every half period of oscillation; an explicit
     scan_resolution in (0, 1] gives intervals of scan_resolution * T
@@ -238,10 +273,9 @@ def bang_bang_control(
 
     edges = np.concatenate([[0.0], switch_times, [T]])
     mids = 0.5 * (edges[:-1] + edges[1:])
-    values = np.empty((len(mids), sys.m))
-    for k, tm in enumerate(mids):
-        psi_mid = _psi(sys, c, T, tm)
-        values[k] = np.where((psi_mid >= 0.0) | zero, bounds.upper, bounds.lower)
+    # one stacked exponential; its entries are bit for bit the direct ones
+    psi_mids = (c @ _expm_stack(sys.A, T - mids)) @ sys.B
+    values = np.where((psi_mids >= 0.0) | zero, bounds.upper, bounds.lower)
     return PiecewiseConstantControl(switch_times=switch_times, values=values, horizon=T)
 
 
@@ -256,15 +290,15 @@ def switch_count(sys: LtiSystem, c, T: float, grid_points: int) -> SwitchReport:
     k the sign of a_k . p whenever, in each channel,
     |a_k . p| > ||a_k|| (r + 1e-12 max_j ||p_j||) + 1e-12 ||c|| ||B||;
     the first slack covers the roundoff of the bound and of the GEMM.
-    psi is formed in blocks of about 64k nodes, so memory stays flat in
-    grid_points, and only blocks holding a row that fails the bound are
-    formed: a run of certain blocks is scanned as its samples a_k . p, one
-    per row. A block whose channel keeps one sign costs only its max and
-    min, and the sign of the last nonzero sample is carried across block
-    edges. Channels whose peak magnitude falls below 1e-12 * ||c|| * ||B||
-    are flagged identically zero and counted as zero switches; a certain
-    row proves its channels are not. The report equals the count over the
-    whole dense grid.
+    Only the rows that fail the bound are formed: the rows split into runs
+    of equal certainty, a certain run is scanned as its samples a_k . p,
+    one per row, and a doubtful run is formed in blocks of at most about
+    64k nodes, so memory stays flat in grid_points. A piece whose channel
+    keeps one sign costs only its max and min, and the sign of the last
+    nonzero sample is carried across piece edges. Channels whose peak
+    magnitude falls below 1e-12 * ||c|| * ||B|| are flagged identically
+    zero and counted as zero switches; a certain row proves its channels
+    are not. The report equals the count over the whole dense grid.
     """
     if grid_points < 100:
         raise ValueError("grid_points must be >= 100")
@@ -276,28 +310,28 @@ def switch_count(sys: LtiSystem, c, T: float, grid_points: int) -> SwitchReport:
     width = len(powers)
     rows = max(1, BLOCK_NODES // width)
     zero = _zero_scale(sys, c)
-    # the row bound of the docstring; sure[b] says block b's rows all pass it
+    # the row bound of the docstring; certain[k] says row k passes it
     norms = lambda x: np.sqrt(np.einsum("...i,...i->...", x, x))
     a, p = anchors[:, 0], powers.transpose(0, 2, 1)
     center = p.mean(axis=0)
     radius = norms(p - center).max(axis=0) + 1e-12 * norms(p).max(axis=0)
     samples = a @ center.T
     certain = np.all(np.abs(samples) > norms(a)[:, None] * radius + zero, axis=1)
-    sure = np.logical_and.reduceat(certain, np.arange(0, len(anchors), rows)).tolist()
+    # runs of rows of equal certainty: a certain run is scanned as its
+    # samples, one per row, and a doubtful run is formed `rows` rows at a time
+    edges = (np.flatnonzero(certain[1:] != certain[:-1]) + 1).tolist()
+    pieces = []
+    for start, stop in zip([0] + edges, edges + [len(anchors)]):
+        pieces += ([(start, stop)] if certain[start] else
+                   [(row, min(row + rows, stop)) for row in range(start, stop, rows)])
     peak = np.zeros(sys.m)
     counts = np.zeros(sys.m, dtype=int)
     last_negative = [None] * sys.m
-    row = 0
-    while row < len(anchors):
-        stop = row + rows
-        if sure[row // rows]:
-            # a run of all-certain blocks is scanned as its samples, one per row
-            while stop < len(anchors) and sure[stop // rows]:
-                stop += rows
-            psi = samples[row:stop]
+    for start, stop in pieces:
+        if certain[start]:
+            psi = samples[start:stop]
         else:
-            psi = _grid_block(anchors[row:stop], powers)[: grid_points - row * width, 0]
-        row = stop
+            psi = _grid_block(anchors[start:stop], powers)[: grid_points - start * width, 0]
         high, low = psi.max(axis=0), psi.min(axis=0)
         peak = np.maximum(peak, np.maximum(high, -low))
         for i in range(sys.m):

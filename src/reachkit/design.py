@@ -103,6 +103,10 @@ class TrimPoint:
     g: float = STANDARD_GRAVITY  # m/s^2
 
     def __post_init__(self):
+        # an infinite V0 would zero every /V0 term of the model without a word
+        for name in ("alpha0", "V0", "h0", "gamma0", "g"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.V0 <= 0:
             raise ValueError(f"airspeed must be positive, got V0={self.V0}")
         if abs(self.alpha0) >= math.pi / 2:

@@ -318,6 +318,8 @@ def costate_grid(n: int, magnitudes, directions_per_shell: int) -> np.ndarray:
     quantile ndtri and normalised. Exact duplicates collapse to their first
     occurrence.
     """
+    if n < 1:
+        raise ValueError(f"costate_grid needs n >= 1 states, got n={n}")
     magnitudes = np.atleast_1d(np.asarray(magnitudes, dtype=float))
     if not (magnitudes.size and np.all((magnitudes > 0) & (magnitudes < np.inf))
             and np.all(np.diff(magnitudes) >= 0)):

@@ -297,6 +297,92 @@ class TestSpectralBracketGrid:
         assert nodes == [65, 4220]
 
 
+def count_calls(monkeypatch, names):
+    """Count the calls bang_bang_control makes to each named boundary function."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, fn=getattr(boundary, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(boundary, name, counted)
+    return calls
+
+
+class TestRefinementCost:
+    """A switch costs one exponential: brentq runs on a Taylor polynomial of
+    psi about the bracket end, and the levels come from one stacked call."""
+
+    NAMES = ("matrix_exponential", "_psi")
+
+    @pytest.mark.parametrize("A, c, switches", [
+        (demo_system().A, [1.0, -1.0], 1),
+        ([[0.0, 10.0], [-10.0, 0.0]], [1.0, 0.0], 3),
+    ], ids=["demo", "oscillator"])
+    def test_one_exponential_per_switch_and_no_direct_psi(self, A, c, switches,
+                                                          monkeypatch):
+        sys = LtiSystem(A, demo_system().B)
+        want = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0, scan_resolution=1e-6)
+        calls = count_calls(monkeypatch, self.NAMES)
+        got = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0)
+        assert len(got.switch_times) == len(want.switch_times) == switches
+        assert calls == {"matrix_exponential": switches, "_psi": 0}
+        assert np.max(np.abs(got.switch_times - want.switch_times)) <= 1e-12
+        assert np.array_equal(got.values, want.values)
+
+    def test_coarse_scan_on_a_stiff_system_evaluates_psi_directly(self, monkeypatch):
+        # 4 intervals give 2 ||A||_1 h far above 1/4, past the polynomial's reach
+        sys, c = system_with_zeros([-30.0, -0.5], [0.9], np.random.default_rng(12))
+        want = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0, scan_resolution=1e-6)
+        calls = count_calls(monkeypatch, self.NAMES)
+        got = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0, scan_resolution=0.25)
+        assert calls["_psi"] > 1
+        assert len(got.switch_times) == len(want.switch_times) == 1
+        assert abs(got.switch_times[0] - want.switch_times[0]) <= 1e-12
+        assert abs(got.switch_times[0] - 0.9) <= 1e-9
+        assert np.array_equal(got.values, want.values)
+
+
+class TestSwitchTimeAccuracy:
+    """Every switch is a zero of the directly evaluated psi: brentq on
+    switching_function over t* +- 1e-9 T lands within 1e-13 T of t*."""
+
+    @staticmethod
+    def spectrum(cls, n, rng):
+        slow = list(rng.uniform(-2.0, 1.0, n - 2))
+        fast = rng.uniform(15.0, 40.0, 2)
+        if cls == "real":
+            return np.diag(rng.uniform(-2.0, 2.0, n))
+        if cls == "oscillatory":
+            mu, om = rng.uniform(-1.0, 0.5), rng.uniform(2.0, 12.0)
+            return np.block([[np.array([[mu, om], [-om, mu]]), np.zeros((2, n - 2))],
+                             [np.zeros((n - 2, 2)), np.diag(slow)]])
+        if cls == "saddle":
+            return np.diag([fast[0] / 2.0, -fast[1] / 2.0] + slow)
+        return np.diag([-fast[0], rng.uniform(-2.0, 0.5)] + slow)
+
+    @pytest.mark.parametrize("cls", ["real", "oscillatory", "saddle", "stiff"])
+    def test_switches_are_zeros_of_the_direct_psi(self, cls):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(["real", "oscillatory", "saddle", "stiff"].index(cls) + 60)
+        T, switches = 1.0, 0
+        for n in (2, 3, 4):
+            for m in (1, 2):
+                sys = modal_system(self.spectrum(cls, n, rng), rng, m=m)
+                bounds = ControlBounds.symmetric(1.0, m)
+                for _ in range(5):
+                    c = rng.standard_normal(n)
+                    for ts in bang_bang_control(sys, bounds, c, T).switch_times:
+                        # the channel that switches is the one psi nearly zeroes
+                        i = int(np.argmin(np.abs(switching_function(sys, c, T, ts))))
+                        root = brentq(lambda t: switching_function(sys, c, T, t)[i],
+                                      ts - 1e-9 * T, ts + 1e-9 * T,
+                                      xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+                        assert abs(root - ts) <= 1e-13 * T
+                        switches += 1
+        assert switches >= 10
+
+
 class TestIdenticallyZeroChannel:
     @staticmethod
     def decoupled_system():
@@ -456,7 +542,7 @@ class TestBlockedSwitchCount:
 
 
 class TestFormedNodes:
-    """switch_count forms psi only in blocks that hold a row of doubtful sign."""
+    """switch_count forms psi only on rows of doubtful sign."""
 
     @staticmethod
     def formed_nodes(monkeypatch):
@@ -467,13 +553,14 @@ class TestFormedNodes:
                             or block(anchors, powers))
         return formed
 
-    def test_demo_forms_at_most_two_blocks(self, monkeypatch):
+    def test_demo_forms_at_most_two_rows(self, monkeypatch):
         sys, c = demo_system(), np.array([1.0, -1.0])
         counts, identically_zero = dense_switch_count(sys, c, 1.0, 1_000_001)
         formed = self.formed_nodes(monkeypatch)
         report = switch_count(sys, c, 1.0, 1_000_001)
-        # the dense grid has 977 rows of 1024 nodes, 1,000,448 in all
-        assert sum(formed) <= 2 * 64 * 1024
+        # the dense grid has 977 rows of 1024 nodes, 1,000,448 in all; only
+        # the rows around the one switch are formed
+        assert sum(formed) <= 2 * 1024
         assert report.sign_changes.tolist() == counts == [1]
         assert report.identically_zero.tolist() == identically_zero
 

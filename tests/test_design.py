@@ -82,6 +82,15 @@ class TestTrimPoint:
         with pytest.raises(ValueError):
             TrimPoint(alpha0=2.0, V0=50.0, h0=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["alpha0", "V0", "h0", "gamma0", "g"])
+    def test_non_finite_values_rejected(self, field, value):
+        # V0 = inf used to build a finite model with every /V0 term zero, and
+        # a nan angle failed only later, inside LtiSystem
+        values = {"alpha0": 0.1, "V0": 60.0, "h0": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrimPoint(**values)
+
 
 class TestLongitudinalModel:
     def test_zero_derivative_structure(self):

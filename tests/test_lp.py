@@ -158,6 +158,12 @@ class TestCostateGrid:
         with pytest.raises(ValueError):
             costate_grid(2, [-1.0], 8)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_state_count_below_one_rejected(self, n):
+        # n = 0 used to fail inside numpy's reshape, n = -1 on negative dimensions
+        with pytest.raises(ValueError, match=f"got n={n}"):
+            costate_grid(n, [1.0], 4)
+
     @pytest.mark.parametrize("magnitudes", [[1.0, np.inf], [np.nan], [1.0, np.nan]],
                              ids=["inf", "nan", "nan-after-finite"])
     def test_non_finite_magnitudes_rejected(self, magnitudes):
