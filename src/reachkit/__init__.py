@@ -53,9 +53,7 @@ from .lpreach import (
 from .lti import (
     LtiSystem,
     PiecewiseConstantControl,
-    SpectrumClass,
     Trajectory,
-    classify_spectrum,
     convolution_integral,
     expm_grid,
     matrix_exponential,

@@ -18,7 +18,6 @@ from .lti import (
     _expm_stack,
     _grid_block,
     _grid_factors,
-    classify_spectrum,
     expm_grid,
     matrix_exponential,
 )
@@ -59,6 +58,9 @@ class ControlBounds:
     def __post_init__(self):
         self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        if self.lower.ndim > 1 or self.upper.ndim > 1:
+            raise DimensionError(f"lower and upper must be scalars or 1-D, got shapes "
+                                 f"{self.lower.shape} and {self.upper.shape}")
         if self.lower.shape != self.upper.shape:
             raise DimensionError("lower and upper must have equal length")
         if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
@@ -361,9 +363,11 @@ def boundary_curve(
     the tail int_eta^T e^{A(T - tau)} B dtau is G(T - eta), where G(s) is
     the upper-right block of e^{M s} for M = [[A, B], [0, 0]] (Van Loan),
     so one expm_grid call gives every tail, and the head is G(T) - tail.
-    Requires a single input channel. Systems outside the planar
-    real-distinct-eigenvalue class still produce curves, with exact=False
-    marking that the exact-boundary guarantee does not apply.
+    Requires a single input channel. exact is the paper's hypothesis for
+    the exact boundary: n = 2 and real eigenvalues more than
+    1e-8 * max(1, ||A||_2) apart. Other systems still produce curves, with
+    exact=False marking that the guarantee does not apply. Eigen-solver
+    failures propagate as numpy.linalg.LinAlgError.
     """
     if sys.m != 1:
         raise UnsupportedConfigurationError(
@@ -388,7 +392,9 @@ def boundary_curve(
     head = tail[0] - tail
     g1 = hi * head + lo * tail
     g2 = lo * head + hi * tail
-    exact = classify_spectrum(sys).is_planar_real_distinct
+    eigenvalues = np.linalg.eigvals(sys.A)
+    exact = bool(n == 2 and np.all(np.isreal(eigenvalues))
+                 and np.ptp(eigenvalues.real) > 1e-8 * max(1.0, np.linalg.norm(sys.A, 2)))
     return BoundaryCurve(etas=etas, g1=g1, g2=g2, exact=exact)
 
 

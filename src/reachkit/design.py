@@ -431,8 +431,10 @@ def central_difference(fn, x: np.ndarray, lb=-np.inf, ub=np.inf) -> np.ndarray:
     x_i + h is exact. Where x_i - h and x_i + h both lie in the box this is
     the central rule. Otherwise it is the second-order one-sided rule
     (-3 f(x) + 4 f(x + sh) - f(x + 2sh)) / (2sh) on the side s with more
-    room. A scalar fn gives its gradient, shape (len(x),); a fn returning
-    k values gives its Jacobian, shape (k, len(x)).
+    room, with h shrunk to half that room when the room is below 2h. A
+    variable whose box has zero width gets a zero column and adds no probe. A
+    scalar fn gives its gradient, shape (len(x),); a fn returning k values
+    gives its Jacobian, shape (k, len(x)).
     """
     x = np.asarray(x, dtype=float)
     lb, ub = np.broadcast_to(lb, x.shape), np.broadcast_to(ub, x.shape)
@@ -440,13 +442,20 @@ def central_difference(fn, x: np.ndarray, lb=-np.inf, ub=np.inf) -> np.ndarray:
     for j in range(len(x)):
         e = np.zeros_like(x)
         h = e[j] = (x[j] + FD_STEP * max(1.0, abs(x[j]))) - x[j]
+        room = max(ub[j] - x[j], x[j] - lb[j])
         if lb[j] <= x[j] - h and x[j] + h <= ub[j]:
             columns.append(np.subtract(fn(x + e), fn(x - e)) / (2.0 * h))
-        else:
+        elif room > 0.0:
+            h = e[j] = min(h, 0.5 * room)
             if ub[j] - x[j] < x[j] - lb[j]:
                 e, h = -e, -h
             columns.append((-3.0 * fn(x) + 4.0 * fn(x + e) - fn(x + 2.0 * e)) / (2.0 * h))
-    return np.stack(columns, axis=-1)
+        else:
+            columns.append(None)  # zero width
+    # a zero column takes the shape of the others, or of fn(x) when every width is zero
+    like = next((column for column in columns if column is not None), None)
+    zero = np.zeros_like(np.asarray(fn(x) if like is None else like, dtype=float))
+    return np.stack([zero if column is None else column for column in columns], axis=-1)
 
 
 def optimize(problem: DesignProblem, max_iters: int = MAX_ITERS) -> OptResult:

@@ -321,6 +321,8 @@ def costate_grid(n: int, magnitudes, directions_per_shell: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"costate_grid needs n >= 1 states, got n={n}")
     magnitudes = np.atleast_1d(np.asarray(magnitudes, dtype=float))
+    if magnitudes.ndim != 1:
+        raise ValueError(f"magnitudes must be a scalar or 1-D, got shape {magnitudes.shape}")
     if not (magnitudes.size and np.all((magnitudes > 0) & (magnitudes < np.inf))
             and np.all(np.diff(magnitudes) >= 0)):
         raise ValueError("magnitudes must be nonempty, positive, finite and ascending")

@@ -3,6 +3,7 @@ and a fixed-step RK4 integrator used as an independent cross-check.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,13 +14,11 @@ from .errors import DimensionError, IntervalError, NumericRangeError
 __all__ = [
     "LtiSystem",
     "Trajectory",
-    "SpectrumClass",
     "PiecewiseConstantControl",
     "matrix_exponential",
     "expm_grid",
     "convolution_integral",
     "simulate",
-    "classify_spectrum",
 ]
 
 
@@ -78,14 +77,6 @@ class Trajectory:
     @property
     def endpoint(self) -> np.ndarray:
         return self.states[-1]
-
-
-@dataclass
-class SpectrumClass:
-    """Eigenvalues of A plus the planar-real-distinct qualification flag."""
-
-    eigenvalues: np.ndarray
-    is_planar_real_distinct: bool
 
 
 @dataclass
@@ -178,6 +169,10 @@ def _grid_factors(A, t0: float, t1: float, num: int, left=None, right=None):
     end is t1, so the caller reverses the nodes to get linspace order.
     """
     A = _square_finite(A)
+    try:
+        num = operator.index(num)
+    except TypeError:
+        raise TypeError(f"the node count must be an integer, got {num!r}") from None
     if num < 1:
         raise ValueError("num must be >= 1")
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -300,19 +295,3 @@ def simulate(sys: LtiSystem, u, T: float, steps: int) -> Trajectory:
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[k + 1] = x
     return Trajectory(times=grid, states=states)
-
-
-def classify_spectrum(sys: LtiSystem) -> SpectrumClass:
-    """Eigenvalues of A and whether the planar-real-distinct case applies.
-
-    The flag requires n = 2, a purely real spectrum, and an eigenvalue
-    separation above 1e-8 * max(1, ||A||_2). Eigen-solver failures
-    propagate as numpy.linalg.LinAlgError.
-    """
-    tol = 1e-8 * max(1.0, np.linalg.norm(sys.A, 2))
-    eigenvalues = np.linalg.eigvals(sys.A)
-    flag = False
-    if sys.n == 2 and np.all(np.isreal(eigenvalues)):
-        real = np.sort(np.real(eigenvalues))
-        flag = bool(real[1] - real[0] > tol)
-    return SpectrumClass(eigenvalues=eigenvalues, is_planar_real_distinct=flag)

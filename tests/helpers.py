@@ -72,15 +72,21 @@ def simpson_reach_oracle(sys: LtiSystem, p: int, T: float, costates, nodes: int 
 
 
 def adaptive_trapezoid(f, a: float, b: float, rel_tol: float = 1e-10, max_levels: int = 24):
-    """Trapezoid rule with interval halving until the estimate settles."""
+    """Trapezoid rule with interval halving until the estimate settles.
+
+    f maps an array of nodes to their stacked values. Each halving
+    evaluates f only at the new midpoints and reuses the earlier samples.
+    """
     n = 8
     xs = np.linspace(a, b, n + 1)
-    vals = np.array([f(x) for x in xs])
+    vals = f(xs)
     est = np.trapezoid(vals, xs, axis=0)
     for _ in range(max_levels):
         n *= 2
         xs = np.linspace(a, b, n + 1)
-        vals = np.array([f(x) for x in xs])
+        merged = np.empty((n + 1,) + vals.shape[1:])
+        merged[::2], merged[1::2] = vals, f(xs[1::2])
+        vals = merged
         new = np.trapezoid(vals, xs, axis=0)
         scale = np.max(np.abs(new)) or 1.0
         if np.max(np.abs(new - est)) <= rel_tol * scale:
@@ -91,7 +97,7 @@ def adaptive_trapezoid(f, a: float, b: float, rel_tol: float = 1e-10, max_levels
 
 def conv_integral_oracle(sys: LtiSystem, T: float, t0: float, t1: float, rel_tol=1e-10):
     """Quadrature oracle for the convolution integral of e^{A(T-s)} B."""
-    return adaptive_trapezoid(lambda s: eig_expm(sys.A, T - s) @ sys.B, t0, t1, rel_tol)
+    return adaptive_trapezoid(lambda s: eig_expm_grid(sys.A, T - s) @ sys.B, t0, t1, rel_tol)
 
 
 def gramian_oracle(sys: LtiSystem, T: float, nodes: int = 100001) -> np.ndarray:

@@ -11,7 +11,6 @@ from reachkit import (
     bang_bang_control,
     boundary_curve,
     boundary_curve_to_csv,
-    classify_spectrum,
     convolution_integral,
     reach_hull_planar,
     simulate,
@@ -22,7 +21,8 @@ from reachkit import boundary
 from reachkit.boundary import _channel_sign_changes, _refine_zero, _switching_grid
 from reachkit.errors import DimensionError, UnsupportedConfigurationError
 
-from helpers import demo_system, eig_expm, random_bang_bang, random_planar_real_distinct
+from helpers import (demo_system, eig_expm, random_bang_bang, random_planar_real_distinct,
+                     random_stable_system)
 
 UNIT_BOUNDS = ControlBounds.symmetric(1.0)
 BAD_HORIZONS = pytest.mark.parametrize("T", [-1.0, 0.0, np.nan, np.inf])
@@ -45,6 +45,13 @@ class TestControlBounds:
     def test_symmetric_rejects_negative_magnitude(self):
         with pytest.raises(ValueError):
             ControlBounds.symmetric(-1.0)
+
+    @pytest.mark.parametrize("lower,upper", [([[-1.0]], [[1.0]]), ([-1.0], [[1.0]])],
+                             ids=["both", "upper"])
+    def test_two_dimensional_bounds_rejected(self, lower, upper):
+        # boundary_curve reads lower[0] as a float, so a 2-D box cannot pass here
+        with pytest.raises(DimensionError, match="scalars or 1-D"):
+            ControlBounds(lower=lower, upper=upper)
 
 
 class TestSwitchingFunction:
@@ -417,6 +424,10 @@ class TestIdenticallyZeroChannel:
 
 
 class TestSwitchCount:
+    def test_float_grid_points_rejected(self):
+        with pytest.raises(TypeError, match="node count must be an integer"):
+            switch_count(demo_system(), [1.0, 0.0], 1.0, 1e6)
+
     def test_demo_random_c_at_most_one(self):
         sys = demo_system()
         rng = np.random.default_rng(13)
@@ -697,6 +708,14 @@ class TestBoundaryCurve:
         curve = boundary_curve(rotation, UNIT_BOUNDS, 1.0, n_eta=11)
         assert not curve.exact
 
+    def test_repeated_eigenvalue_not_exact(self):
+        curve = boundary_curve(LtiSystem(np.eye(2), [[1.0], [0.0]]), UNIT_BOUNDS, 1.0, n_eta=11)
+        assert not curve.exact
+
+    def test_three_states_not_exact(self):
+        sys = random_stable_system(np.random.default_rng(5), 3, 1)
+        assert not boundary_curve(sys, UNIT_BOUNDS, 1.0, n_eta=11).exact
+
     def test_multi_input_rejected(self):
         sys = LtiSystem(np.zeros((2, 2)), np.eye(2))
         with pytest.raises(UnsupportedConfigurationError):
@@ -724,7 +743,6 @@ class TestBoundaryCurve:
         for got, want in ((curve.g1, 2.0 * head - 0.5 * tail), (curve.g2, -0.5 * head + 2.0 * tail)):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert curve.exact is exact
-        assert exact == classify_spectrum(sys).is_planar_real_distinct
 
 
 class TestReachHull:

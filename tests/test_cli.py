@@ -291,6 +291,15 @@ MALFORMED = [
     ("volume-five-states", "volume",
      edited("volume.json", lambda c: c["system"].update(
          A=[[-1.0 if i == j else 0.0 for j in range(5)] for i in range(5)], B=[[1.0]] * 5))),
+    # bounds and shell radii are lists of numbers, never lists of lists
+    ("bounds-two-dimensional", "boundary",
+     edited("boundary.json", lambda c: c["task"].update(bounds={"lower": [[-1.0]],
+                                                               "upper": [[1.0]]}))),
+    ("grid-magnitudes-two-dimensional", "lp-sample",
+     edited("lp_sample.json", lambda c: c["task"]["grid"].update(magnitudes=[[1.0, 2.0]]))),
+    ("lp-volume-magnitudes-two-dimensional", "optimize",
+     edited("optimize_trace.json", lambda c: c["task"].update(
+         constraint=lp_volume_constraint(grid={"magnitudes": [[0.01, 0.02]]})))),
     ("empty-magnitudes", "lp-sample",
      edited("lp_sample.json", lambda c: c["task"]["grid"].update(magnitudes=[]))),
     ("string-matrix-entry", "gramian",
@@ -350,6 +359,9 @@ MESSAGES = {
     "bounds-lower-above-upper": "need lower <= upper",
     "lp-volume-descending-magnitudes": "magnitudes must be",
     "lp-volume-zero-directions": "directions_per_shell must be >= 1",
+    "bounds-two-dimensional": "lower and upper must be scalars or 1-D",
+    "grid-magnitudes-two-dimensional": "magnitudes must be a scalar or 1-D",
+    "lp-volume-magnitudes-two-dimensional": "magnitudes must be a scalar or 1-D",
     # optimize's only option is max_iters
     "zero-fd-step": "unknown keys in config.task.options: ['fd_step']",
     "negative-feas-tol": "unknown keys in config.task.options: ['feas_tol']",

@@ -512,6 +512,27 @@ class TestFiniteDifferenceGradient:
             assert np.max(np.abs(jac - exact(x))) <= 1e-8 * np.max(np.abs(exact(x)))
             assert all(np.all((lb <= p) & (p <= ub)) for p in probes)
 
+    @pytest.mark.parametrize("width", [0.0, 1e-7, 1.0])
+    def test_probes_stay_in_boxes_narrower_than_two_steps(self, width):
+        def fn(x):
+            probes.append(x.copy())
+            return np.array([x[0] ** 3 + np.sin(x[1]), x[0] * np.exp(x[1])])
+
+        lb, ub = np.array([0.5, -2.0]), np.array([0.5 + width, 0.3])
+        for x in ([lb[0], 0.3], [ub[0], -2.0], [0.5 * (lb[0] + ub[0]), 0.1]):
+            probes = []
+            x = np.array(x)
+            jac = central_difference(fn, x, lb=lb, ub=ub)
+            assert all(np.all((lb <= p) & (p <= ub)) for p in probes)
+            want = 0.0 if width == 0.0 else 3 * x[0] ** 2
+            assert jac[0, 0] == pytest.approx(want, rel=1e-5)
+            assert jac[1, 1] == pytest.approx(x[0] * np.exp(x[1]), rel=1e-8)
+
+    def test_every_width_zero_gives_zero_columns(self):
+        jac = central_difference(lambda x: np.array([1.0, x[0], x[1]]), np.array([1.0, 2.0]),
+                                 lb=[1.0, 2.0], ub=[1.0, 2.0])
+        assert np.array_equal(jac, np.zeros((3, 2)))
+
     def test_interior_points_keep_the_central_rule(self):
         def fn(x):
             return np.array([x[0] ** 2 * x[1], np.exp(x[0] - x[1])])

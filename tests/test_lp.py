@@ -158,6 +158,11 @@ class TestCostateGrid:
         with pytest.raises(ValueError):
             costate_grid(2, [-1.0], 8)
 
+    def test_two_dimensional_magnitudes_rejected(self):
+        # [[1, 2]] would scale each component by its own radius: one ellipse, not two shells
+        with pytest.raises(ValueError, match="magnitudes must be a scalar or 1-D"):
+            costate_grid(2, [[1.0, 2.0]], 4)
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_state_count_below_one_rejected(self, n):
         # n = 0 used to fail inside numpy's reshape, n = -1 on negative dimensions

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from reachkit import (
+    ControlBounds,
     LtiSystem,
     PiecewiseConstantControl,
-    classify_spectrum,
+    boundary_curve,
     convolution_integral,
     expm_grid,
     matrix_exponential,
@@ -337,6 +338,11 @@ def test_expm_grid_meets_direct_expm_at_every_node(case):
         assert err.max() <= 1e-10, (t0, t1, err.max())
 
 
+def test_expm_grid_rejects_a_float_node_count():
+    with pytest.raises(TypeError, match="node count must be an integer"):
+        expm_grid(np.eye(2), 0.0, 1.0, 100.0)
+
+
 class TestConvolutionIntegral:
     def test_integrator_constant_integrand(self):
         sys = LtiSystem(np.zeros((2, 2)), [[1.0], [0.0]])
@@ -413,26 +419,18 @@ class TestSimulate:
 
 
 class TestClassifySpectrum:
+    """The paper's exact-boundary hypothesis on the two reference spectra,
+    read through boundary_curve's exact flag, which applies it."""
+
     def test_demo_real_distinct(self):
-        spec = classify_spectrum(demo_system())
-        got = np.sort(np.real(spec.eigenvalues))
-        assert np.allclose(got, [0.53, 1.57], atol=0.005)
-        assert spec.is_planar_real_distinct
+        eigenvalues = np.linalg.eigvals(demo_system().A)
+        assert np.allclose(np.sort(eigenvalues), [DEMO_EIG_SLOW, DEMO_EIG_FAST], rtol=1e-12)
+        assert boundary_curve(demo_system(), ControlBounds.symmetric(1.0), 1.0, n_eta=11).exact
 
     def test_rotation_complex_pair(self):
         sys = LtiSystem([[0.0, 1.0], [-1.0, 0.0]], [[1.0], [0.0]])
-        spec = classify_spectrum(sys)
-        assert not spec.is_planar_real_distinct
-        assert np.allclose(np.sort(np.imag(spec.eigenvalues)), [-1.0, 1.0], atol=1e-12)
-
-    def test_repeated_eigenvalue(self):
-        sys = LtiSystem(np.eye(2), [[1.0], [0.0]])
-        assert not classify_spectrum(sys).is_planar_real_distinct
-
-    def test_not_planar(self):
-        rng = np.random.default_rng(5)
-        sys = random_stable_system(rng, 3, 1)
-        assert not classify_spectrum(sys).is_planar_real_distinct
+        assert np.allclose(np.sort(np.imag(np.linalg.eigvals(sys.A))), [-1.0, 1.0], atol=1e-12)
+        assert not boundary_curve(sys, ControlBounds.symmetric(1.0), 1.0, n_eta=11).exact
 
 
 class TestLtiSystemValidation:
