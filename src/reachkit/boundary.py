@@ -136,22 +136,59 @@ def _switching_grid(sys: LtiSystem, c, T: float, num: int) -> np.ndarray:
     return expm_grid(sys.A, T, 0.0, num, left=np.asarray(c, dtype=float), right=sys.B)[:, 0]
 
 
-def _refine_zero(sys, c, T, i, a, b):
-    """The zero of psi_i in the grid bracket (a, b), to brentq precision.
+# Brent's method stops once the bracket is narrower than XTOL + RTOL |x|
+XTOL = 1e-15
+RTOL = 4.0 * np.finfo(float).eps
 
-    With h = b - a and r = c^T e^{A (T - b)}, psi_i(t) = r e^{A (b - t)} b_i
-    for column b_i of B. When 2 ||A||_1 h <= 1/4, psi_i is evaluated as its
-    Taylor polynomial sum_k (r A^k b_i / k!) (b - t)^k, kept up to the K with
+
+def _brent(f, pre: float, cur: float, f_pre: float, f_cur: float) -> float:
+    """The zero of f between pre and cur, where f has the nonzero values of
+    opposite sign f_pre and f_cur, by Brent's method: step for step the
+    iteration of scipy.optimize.brentq at xtol = XTOL and rtol = RTOL."""
+    for _ in range(100):
+        if (f_pre < 0.0) != (f_cur < 0.0) and f_pre and f_cur:
+            blk, f_blk = pre, f_pre
+            s_pre = s_cur = cur - pre
+        if abs(f_blk) < abs(f_cur):
+            pre, cur, blk = cur, blk, cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (XTOL + RTOL * abs(cur))
+        bisect = 0.5 * (blk - cur)
+        if f_cur == 0.0 or abs(bisect) < delta:
+            return cur
+        trial = None
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if pre == blk:
+                # secant step
+                trial = -f_cur * (cur - pre) / (f_cur - f_pre)
+            else:
+                # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (pre - cur)
+                d_blk = (f_blk - f_cur) / (blk - cur)
+                trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            if not 2.0 * abs(trial) < min(abs(s_pre), 3.0 * abs(bisect) - delta):
+                trial = None
+        s_pre, s_cur = (bisect, bisect) if trial is None else (s_cur, trial)
+        pre, f_pre = cur, f_cur
+        cur += s_cur if abs(s_cur) > delta else math.copysign(delta, bisect)
+        f_cur = f(cur)
+    raise RuntimeError(f"no convergence to the zero between {pre!r} and {cur!r}")
+
+
+def _refine_zero(sys, c, T, i, a, b, r):
+    """The zero of psi_i in the grid bracket (a, b), by _brent, given
+    r = c^T e^{A (T - b)}.
+
+    With h = b - a, psi_i(t) = r e^{A (b - t)} b_i for column b_i of B.
+    When 2 ||A||_1 h <= 1/4, psi_i is evaluated as its Taylor polynomial
+    sum_k (r A^k b_i / k!) (b - t)^k, kept up to the K with
     (2 ||A||_1 h)^(K+1) / (K+1)! < 1e-18, so it is exact to roundoff for
-    |b - t| <= 2h, which holds every point evaluated below, and one
-    exponential serves the whole refinement; a wider bracket evaluates
-    psi_i directly. A bracket whose endpoints do not differ in sign holds a
-    zero on a grid node and is widened by one step beyond it; one that
-    still shows no sign change gives its midpoint.
+    |b - t| <= 2h, which holds every point evaluated below, and r serves
+    the whole refinement; a wider bracket evaluates psi_i directly. A
+    bracket whose endpoints do not differ in sign holds a zero on a grid
+    node and is widened by one step beyond it; one that still shows no sign
+    change gives its midpoint.
     """
-    # imported on first use, so that importing reachkit skips scipy.optimize
-    from scipy.optimize import brentq
-
     reach = 2.0 * np.linalg.norm(sys.A, 1) * (b - a)
     if reach <= 0.25:
         # terms[k] = A^k b_i / k!, up to the first k whose successor's
@@ -160,7 +197,6 @@ def _refine_zero(sys, c, T, i, a, b):
         while bound >= 1e-18:
             terms.append(sys.A @ terms[-1] / len(terms))
             bound *= reach / len(terms)
-        r = c @ matrix_exponential(sys.A, T - b)
         # Horner's rule from the top coefficient; the expansion point is this b,
         # not the b the node-zero branch below may move
         coefficients = (r @ np.column_stack(terms))[::-1].tolist()
@@ -182,15 +218,15 @@ def _refine_zero(sys, c, T, i, a, b):
         # roundoff of the endpoint where |psi| is smaller (a zero on a grid
         # node): bracket it with the node one bracket width beyond.
         near, f_near, far = (a, fa, 2.0 * a - b) if abs(fa) < abs(fb) else (b, fb, 2.0 * b - a)
-        if 0.0 <= far <= T and f(far) * f_near < 0.0:
-            a, b = min(near, far), max(near, far)
-        else:
+        f_far = f(far) if 0.0 <= far <= T else f_near
+        if not f_far * f_near < 0.0:
             logger.warning(
                 "channel %d: grid sign change on [%r, %r] not confirmed by direct "
                 "evaluation (psi %r, %r); using the midpoint", i, a, b, fa, fb,
             )
             return 0.5 * (a + b)
-    return float(brentq(f, a, b, xtol=1e-15, rtol=4.0 * np.finfo(float).eps))
+        (a, fa), (b, fb) = sorted([(near, f_near), (far, f_far)])
+    return _brent(f, a, b, fa, fb)
 
 
 def _channel_sign_changes(values: np.ndarray):
@@ -227,11 +263,12 @@ def bang_bang_control(
 
     Channel i takes upper[i] where psi_i(t; c) >= 0 and lower[i] elsewhere.
     Sign changes are bracketed on a uniform grid over [0, T] and refined by
-    brentq, so the returned breakpoints are accurate to root-finding
-    precision; each refinement costs one exponential, since on a short
-    bracket psi is a Taylor polynomial about its end (see _refine_zero),
-    and the levels of all segments come from one stacked exponential at
-    their midpoints. By default the grid has 32 intervals per unit of
+    Brent's method (_brent), so the returned breakpoints are accurate to
+    root-finding precision. Each refinement costs one entry of a stacked
+    exponential at the bracket ends, since on a short bracket psi is a
+    Taylor polynomial about its end (see _refine_zero), and the levels of
+    all segments come from one stacked exponential at their midpoints.
+    By default the grid has 32 intervals per unit of
     ||A||_1 T + T max|Im lambda| / pi (between 64 and 2^16), which resolves
     the fastest rate and every half period of oscillation; an explicit
     scan_resolution in (0, 1] gives intervals of scan_resolution * T
@@ -266,8 +303,12 @@ def bang_bang_control(
             )
             brackets, zero = _grid_brackets(sys, c, T, RESCAN_FACTOR * intervals)
 
+    # every bracket's c^T e^{A (T - b)} from one stacked exponential, whose
+    # entries are bit for bit the direct ones
+    pairs = [(i, a, b) for i, channel in enumerate(brackets) for a, b in channel]
+    ends = c @ _expm_stack(sys.A, T - np.array([b for _, _, b in pairs])) if pairs else ()
     switch_times = np.array(sorted(
-        _refine_zero(sys, c, T, i, a, b) for i, pairs in enumerate(brackets) for a, b in pairs
+        _refine_zero(sys, c, T, i, a, b, r) for (i, a, b), r in zip(pairs, ends)
     ))
     if len(switch_times) > 1:
         keep = np.concatenate([[True], np.diff(switch_times) > 1e-12 * max(T, 1.0)])

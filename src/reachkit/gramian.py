@@ -71,20 +71,27 @@ def _gramian_matrix(sys: LtiSystem, T: float) -> np.ndarray:
     n = sys.n
     reach = float(np.abs(sys.A).sum(axis=0).max()) * T
     doublings = math.ceil(math.log2(reach)) if reach > 1.0 else 0
+    h = T / 2**doublings
+    gram = sys.B @ sys.B.T
+    # B B^T divided by a power of two to ||B B^T||_1 h < 1 (through the bound
+    # n trace(B B^T)) keeps the block's norm near A's, and so its exponential
+    # at a low Pade order; W takes the same factor back, exactly
+    scale = math.ldexp(1.0, max(0, math.frexp(n * float(gram.trace()) * h)[1]))
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -sys.A
-    block[:n, n:] = sys.B @ sys.B.T
+    np.divide(gram, scale, out=block[:n, n:])
     block[n:, n:] = sys.A.T
-    E = matrix_exponential(block, T / 2**doublings)
+    E = matrix_exponential(block, h)
     step = E[n:, n:].T
     W = step @ E[:n, n:]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(doublings):
             W = W + step @ W @ step.T
             step = step @ step
-    if not np.all(np.isfinite(W)):
+        W = (0.5 * scale) * (W + W.T)
+    if not np.isfinite(W).all():
         raise NumericRangeError(f"Gramian overflowed for T = {T}")
-    return 0.5 * (W + W.T)
+    return W
 
 
 def reachability_gramian(sys: LtiSystem, T: float) -> Gramian:
@@ -92,10 +99,11 @@ def reachability_gramian(sys: LtiSystem, T: float) -> Gramian:
 
     The block exponential of [[-A, B B^T], [0, A^T]] gives W(h) in closed
     form on a short step h = T / 2^k with ||A||_1 h <= 1, where e^{-A h}
-    cannot swamp the result. Doubling W(2t) = W(t) + e^{A t} W(t) e^{A^T t}
-    then reaches T; every step adds a PSD term, so nothing cancels on stiff
-    or unstable spectra. The result is symmetrized before the
-    eigendecomposition.
+    cannot swamp the result; B B^T enters it divided by a power of two that
+    brings ||B B^T||_1 h below 1, and W is multiplied back. Doubling
+    W(2t) = W(t) + e^{A t} W(t) e^{A^T t} then reaches T; every step adds a
+    PSD term, so nothing cancels on stiff or unstable spectra. The result is
+    symmetrized before the eigendecomposition.
     """
     W = _gramian_matrix(sys, T)
     eigenvalues, eigenvectors = np.linalg.eigh(W)

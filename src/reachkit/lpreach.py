@@ -8,6 +8,7 @@ budget. A Holder-type bound on ||lambda0||_q^q gives a cheap sufficient
 filter for endpoints guaranteed to be reachable.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -326,6 +327,11 @@ def costate_grid(n: int, magnitudes, directions_per_shell: int) -> np.ndarray:
     if not (magnitudes.size and np.all((magnitudes > 0) & (magnitudes < np.inf))
             and np.all(np.diff(magnitudes) >= 0)):
         raise ValueError("magnitudes must be nonempty, positive, finite and ascending")
+    try:
+        directions_per_shell = operator.index(directions_per_shell)
+    except TypeError:
+        raise TypeError("directions_per_shell must be an integer, "
+                        f"got {directions_per_shell!r}") from None
     if directions_per_shell < 1:
         raise ValueError("directions_per_shell must be >= 1")
     shell = np.vstack([np.eye(n), -np.eye(n), _sphere_directions(n, directions_per_shell)])

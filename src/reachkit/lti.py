@@ -2,12 +2,12 @@
 and a fixed-step RK4 integrator used as an independent cross-check.
 """
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 from .errors import DimensionError, IntervalError, NumericRangeError
 
@@ -113,7 +113,7 @@ def _square_finite(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"A must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("A entries must be finite")
     return A
 
@@ -130,18 +130,238 @@ def matrix_exponential(A, t: float) -> np.ndarray:
     return _expm_stack(A, t)
 
 
-def _expm_stack(A: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """e^{A t} for each t in times, shape (len(times), n, n), from one expm call;
-    a scalar time gives the one (n, n) exponential.
+def _pade_numerator(m: int) -> np.ndarray:
+    """Coefficients b_0..b_m of p_m, the [m/m] Pade approximant of e^x being
+    p_m(x) / p_m(-x) (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005)."""
+    f = math.factorial
+    return np.array([f(2 * m - k) // (f(k) * f(m - k)) for k in range(m + 1)], dtype=float)
 
-    scipy's expm treats each matrix of a stack on its own, so entry i is
-    bit for bit the direct exponential of A * times[i].
+
+# Pade orders m and their theta_m (Al-Mohy and Higham, SIAM J. Matrix
+# Anal. Appl. 31(3), 2009, Table 3.1): r_m(X) meets e^X to unit roundoff u
+# once ||X||_1 <= theta_m. For order 13 they scale X by 2^-s until their
+# eta, taken from the norms of X's powers, is at most theta_13 and their
+# ell check c ||abs(X)^27||_1 / ||X||_1 <= u holds, c = (13!)^2 / (26! 27!)
+# being the first coefficient of r_13's backward error series.
+# _ELL_13 = (u / c)^(1/26) bounds ||X||_1 where that check holds for any X.
+_PADE_ORDERS = (3, 5, 7, 9, 13)
+_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+          2.097847961257068, 4.25)
+_ELL_13 = (2.0**-53 * math.factorial(26) * math.factorial(27) / math.factorial(13) ** 2) ** (1 / 26)
+# p_m's coefficients b_m, b_m-1, ..., b_0 as (m // 2 + 1, 2) rows
+_PADE = {m: _pade_numerator(m)[::-1].reshape(-1, 2) for m in _PADE_ORDERS}
+
+
+def _even_powers(A: np.ndarray, p: int) -> np.ndarray:
+    """A^2p, ..., A^2, A^0, shape (p + 1, n, n), highest power first, so that
+    every lower order's powers are a contiguous tail."""
+    even = np.empty((p + 1,) + A.shape)
+    even[p] = 0.0
+    even.reshape(p + 1, -1)[p, :: len(A) + 1] = 1.0
+    for j in range(1, p + 1):
+        # A^2j = A^2h A^2(j - h) with h = j // 2
+        half = j // 2
+        np.matmul(even[p - half] if half else A, even[p - j + half] if half else A, out=even[p - j])
+    return even
+
+
+def _squarings(size: float, limit: float) -> int:
+    """The least s >= 0 with size / 2^s <= limit."""
+    if size <= limit:
+        return 0
+    fraction, power = math.frexp(size / limit)
+    return power - (fraction == 0.5)
+
+
+def _order_13_squarings(A: np.ndarray, even: np.ndarray, norm: float, sizes) -> list:
+    """The squarings s of order 13 at each |t| in sizes: the least s that
+    brings |t| / 2^s within Al-Mohy and Higham's eta_5 |t| <= theta_13 and
+    their ell check, from even = A^12, ..., A^0 and norm = ||A||_1.
+
+    The ell check holds for any A up to |t| = _ELL_13 / norm, so it needs
+    abs(A)^27 only when that bound would change some time's s."""
+    norms = np.abs(even[1:4]).sum(axis=1).max(axis=1).tolist()
+    d10, d8, d6 = (x ** (1 / k) for x, k in zip(norms, (10, 8, 6)))
+    eta = min(max(d6, d8), max(d8, d10))
+    limit = _THETA[-1] / eta if eta else math.inf
+    squarings = [_squarings(x, limit) for x in sizes]
+    bound = _ELL_13 / norm
+    if limit > bound and squarings != [_squarings(x, bound) for x in sizes]:
+        # ||abs(A)^27||_1 / norm, from abs(A) / norm, whose powers stay <= 1
+        spread = np.linalg.matrix_power(np.abs(A) / norm, 27).sum(axis=0).max() ** (1 / 26)
+        if spread:
+            limit = min(limit, _ELL_13 / (norm * float(spread)))
+            squarings = [_squarings(x, limit) for x in sizes]
+    return squarings
+
+
+def _pade_weights(m: int, tau_powers) -> np.ndarray:
+    """b_k tau^k, the weights of A^k in p_m(tau A), as (len(tau_powers), 2,
+    m // 2 + 1): the odd powers in row 0 and the even ones in row 1, each
+    highest power first. Row i of tau_powers holds tau_i^0, tau_i^1, ...,
+    each the previous times tau_i; a list of one such row is taken as
+    Python floats, which round alike."""
+    if isinstance(tau_powers, list):
+        (row,) = tau_powers
+        weights = np.array([b * x for b, x in zip(_PADE[m].ravel().tolist(), row[m::-1])])
+    else:
+        weights = tau_powers[:, m::-1].reshape(len(tau_powers), -1, 2) * _PADE[m]
+    return weights.reshape(-1, m // 2 + 1, 2).transpose(0, 2, 1)
+
+
+def _pade_solve(A: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """r_m(tau_i A) for each entry of sums, (K, 2, n, n), whose rows hold
+    the sum over p_m's odd powers divided by A and the sum over its even
+    powers: with U = A sums[:, 0] and V = sums[:, 1], r_m is
+    (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U, which keeps the digits of an
+    exponential near I."""
+    odd = A @ sums[:, 0]
+    X = np.linalg.solve(sums[:, 1] - odd, odd + odd)
+    X.reshape(len(X), -1)[:, :: len(A) + 1] += 1.0
+    return X
+
+
+def _expm_single(A: np.ndarray, t: float):
+    """e^{A t} as (1, n, n) by _expm_kernel's arithmetic for one time,
+    without its ranking and grouping, for an A that is not triangular and
+    whose norm needs no power-of-two scale; None for any other A."""
+    if any(_triangular(A)):
+        return None
+    n = len(A)
+    norm = float(np.abs(A).sum(axis=0).max())
+    if abs(math.frexp(norm)[1]) > 64:
+        return None
+    m = _PADE_ORDERS[bisect.bisect_left(_THETA, abs(t) * norm, hi=len(_THETA) - 1)]
+    even = _even_powers(A, m // 2)
+    squarings = _order_13_squarings(A, even, norm, [abs(t)])[0] if m == 13 else 0
+    tau, row = math.ldexp(t, -squarings), [1.0]
+    for _ in range(m):
+        row.append(row[-1] * tau)
+    X = _pade_solve(A, (_pade_weights(m, [row]) @ even.reshape(len(even), -1)).reshape(1, 2, n, n))
+    for _ in range(squarings):
+        X = X @ X
+    return X
+
+
+def _set_triangle_bands(X: np.ndarray, A: np.ndarray, h: np.ndarray):
+    """Overwrite the diagonal and superdiagonal of each X[i] ~ e^{A h_i},
+    for upper-triangular A, with their closed forms (Al-Mohy and Higham
+    2009, Code Fragment 2.1): exp(h a_jj) and
+    h a_j,j+1 e^{(l1 + l2) / 2} sinh(x) / x, x = (l2 - l1) / 2,
+    for l1 = h a_jj and l2 = h a_j+1,j+1.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _scipy_expm(np.multiply.outer(times, A))
-    if not np.all(np.isfinite(out)):
+    n = A.shape[0]
+    lam = h[:, None] * np.diag(A)
+    flat = X.reshape(len(X), -1)
+    flat[:, :: n + 1] = np.exp(lam)
+    if n > 1:
+        l1, l2 = lam[:, :-1], lam[:, 1:]
+        x = 0.5 * (l2 - l1)
+        zero = x == 0.0
+        sinch = np.where(zero, 1.0, np.sinh(x) / np.where(zero, 1.0, x))
+        # the difference of exponentials where it cannot cancel, and where
+        # sinh(x) could overflow though the entry does not
+        close = np.abs(x) <= 1.0
+        growth = np.where(close, np.exp(0.5 * (l1 + l2)) * sinch,
+                          (np.exp(l2) - np.exp(l1)) / np.where(close, 1.0, l2 - l1))
+        flat[:, 1 : (n - 1) * (n + 1) : n + 1] = h[:, None] * np.diag(A, 1) * growth
+
+
+def _triangular(A: np.ndarray):
+    """Whether A is upper triangular, and whether it is lower triangular;
+    a corner or an entry beside the diagonal decides most matrices."""
+    if len(A) == 1:
+        return True, True
+    return (not (A[-1, 0] or A[1, 0] or np.tril(A, -1).any()),
+            not (A[0, -1] or A[0, 1] or np.triu(A, 1).any()))
+
+
+def _expm_kernel(A: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """e^{A t_i} for each t_i of the 1-D t; see _expm_stack."""
+    n = len(A)
+    upper, lower = _triangular(A)
+    if upper and lower:
+        out = np.zeros((len(t), n, n))
+        out.reshape(len(t), n * n)[:, :: n + 1] = np.exp(np.multiply.outer(t, np.diag(A)))
+        return out
+    if lower:
+        return _expm_kernel(A.T, t).transpose(0, 2, 1)
+    if not len(t):
+        return np.empty((0, n, n))
+    norm = float(np.abs(A).sum(axis=0).max())
+    exponent = math.frexp(norm)[1]
+    if abs(exponent) > 64:
+        # a power-of-two scale to ||A||_1 < 1, so that no power of A
+        # overflows; it leaves every product A t as it was
+        A, t, norm = np.ldexp(A, -exponent), np.ldexp(t, exponent), math.ldexp(norm, -exponent)
+    # each time takes the lowest order m with ||A t||_1 <= theta_m, as an
+    # index into _PADE_ORDERS, and past theta_9 order 13 on t / 2^s for the
+    # least s that Al-Mohy and Higham allow
+    size = np.abs(t).tolist()
+    order = [bisect.bisect_left(_THETA, x * norm, hi=len(_THETA) - 1) for x in size]
+    even = _even_powers(A, _PADE_ORDERS[max(order)] // 2)
+    squarings = [0] * len(t)
+    if max(order) == len(_THETA) - 1:
+        top = [i for i, o in enumerate(order) if o == len(_THETA) - 1]
+        for i, s in zip(top, _order_13_squarings(A, even, norm, [size[i] for i in top])):
+            squarings[i] = s
+    # the entries by descending order and squarings, so that each order's
+    # entries are a run and the entries still squaring are a prefix
+    if len(t) > 1:
+        ranked = sorted(range(len(t)), key=lambda i: (order[i], squarings[i]), reverse=True)
+        order, squarings, t = [order[i] for i in ranked], [squarings[i] for i in ranked], t[ranked]
+    tau = np.ldexp(t, [-s for s in squarings]) if squarings[0] else t
+    # each entry's Pade numerator and denominator: sums of A's even powers
+    # weighted by its own powers of tau, highest power first (the small
+    # terms first, which rounds least), by one small GEMM per entry so that
+    # no entry's rounding depends on the others
+    tau_powers = np.ones((len(t), _PADE_ORDERS[order[0]] + 1))
+    tau_powers[:, 1:] = tau[:, None]
+    np.multiply.accumulate(tau_powers, axis=1, out=tau_powers)
+    sums = np.empty((len(t), 2, n * n))
+    start = 0
+    for group in sorted(set(order), reverse=True):
+        stop = start + order.count(group)
+        m = _PADE_ORDERS[group]
+        weights = _pade_weights(m, tau_powers[start:stop])
+        np.matmul(weights, even[-(m // 2) - 1 :].reshape(m // 2 + 1, -1), out=sums[start:stop])
+        start = stop
+    X = _pade_solve(A, sums.reshape(len(t), 2, n, n))
+    if upper:
+        _set_triangle_bands(X, A, tau)
+    for level in range(1, squarings[0] + 1):
+        count = sum(map(level.__le__, squarings))
+        X[:count] = X[:count] @ X[:count]
+        if upper:
+            _set_triangle_bands(X[:count], A, np.ldexp(tau[:count], level))
+    if len(t) > 1:
+        X[ranked] = X.copy()
+    return np.triu(X) if upper else X
+
+
+def _expm_stack(A: np.ndarray, times) -> np.ndarray:
+    """e^{A t} for each t in times, shape (len(times), n, n); a scalar time
+    gives the one (n, n) exponential.
+
+    Scaling and squaring with Pade approximants (Al-Mohy and Higham, SIAM
+    J. Matrix Anal. Appl. 31(3), 2009): each time takes the lowest of the
+    orders 3, 5, 7 and 9 whose theta_m bounds ||A t||_1, or else order 13
+    with their squarings. A's even powers are formed once for the whole
+    stack; each entry then takes its own order, weights, solve and
+    squarings, so entry i is bit for bit matrix_exponential(A, times[i]),
+    which takes the same steps in _expm_single. A diagonal A gives exp of
+    its diagonal, and a triangular A gets its diagonal and superdiagonal in
+    closed form at every squaring.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # a float time (the Gramian's block, the switching function) skips
+        # the stack's bookkeeping where the matrix allows
+        out = _expm_single(A, times) if isinstance(times, float) else None
+        if out is None:
+            out = _expm_kernel(A, np.asarray(times, dtype=float).reshape(-1))
+    if not np.isfinite(out).all():
         raise NumericRangeError(f"exp(A t) overflowed for |t| = {np.max(np.abs(times))}")
-    return out
+    return out.reshape(np.shape(times) + A.shape)
 
 
 def _doubling_table(powers: np.ndarray, count: int) -> np.ndarray:

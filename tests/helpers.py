@@ -1,12 +1,13 @@
 """Shared fixtures and independent numerical oracles for the test suite.
 
 Oracles deliberately avoid the library's computational paths: matrix
-exponentials come from eigendecomposition, the 2-by-2 closed form or a
-direct scipy expm at every node (never chained products), integrals from
-(adaptive) trapezoid or Simpson rules, and memberships from facet
-arithmetic.
+exponentials come from eigendecomposition, the 2-by-2 closed form, a
+direct scipy expm at every node (never chained products) or mpmath at 50
+digits, integrals from (adaptive) trapezoid or Simpson rules, and
+memberships from facet arithmetic.
 """
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
@@ -24,6 +25,14 @@ DEMO_EIG_FAST = 1.5720153347126423
 
 def demo_system() -> LtiSystem:
     return LtiSystem(DEMO_A, DEMO_B)
+
+
+def mp_expm(A, t: float, digits: int = 50) -> np.ndarray:
+    """e^{A t} from mpmath's expm at the given working precision, rounded
+    once to float64; the product A t is formed exactly at that precision."""
+    with mpmath.workdps(digits):
+        E = mpmath.expm(mpmath.matrix(np.asarray(A, dtype=float).tolist()) * mpmath.mpf(t))
+        return np.array(E.tolist(), dtype=float)
 
 
 def eig_expm(A: np.ndarray, t: float) -> np.ndarray:

@@ -12,13 +12,14 @@ from reachkit import (
     boundary_curve,
     boundary_curve_to_csv,
     convolution_integral,
+    matrix_exponential,
     reach_hull_planar,
     simulate,
     switch_count,
     switching_function,
 )
 from reachkit import boundary
-from reachkit.boundary import _channel_sign_changes, _refine_zero, _switching_grid
+from reachkit.boundary import _brent, _channel_sign_changes, _refine_zero, _switching_grid
 from reachkit.errors import DimensionError, UnsupportedConfigurationError
 
 from helpers import (demo_system, eig_expm, random_bang_bang, random_planar_real_distinct,
@@ -172,7 +173,7 @@ class TestCostateChecked:
         monkeypatch.setattr(boundary, "_costate",
                             lambda *args: calls.append(args) or checked(*args))
         u = bang_bang_control(demo_system(), UNIT_BOUNDS, [1.0, -1.0], 1.0)
-        # brentq evaluated psi many times to place the switch
+        # the root polish evaluated psi many times to place the switch
         assert len(u.switch_times) == 1
         assert len(calls) == 1
         switch_count(demo_system(), [1.0, -1.0], 1.0, 1001)
@@ -315,11 +316,45 @@ def count_calls(monkeypatch, names):
     return calls
 
 
-class TestRefinementCost:
-    """A switch costs one exponential: brentq runs on a Taylor polynomial of
-    psi about the bracket end, and the levels come from one stacked call."""
+def test_brent_is_brentq_step_for_step():
+    # the root polish keeps brentq's iteration and stopping rule, so it
+    # returns the same zero, bit for bit, or fails to converge where it does
+    from scipy.optimize import brentq
 
-    NAMES = ("matrix_exponential", "_psi")
+    rng = np.random.default_rng(34)
+    families = [
+        lambda x, c: c[0] + c[1] * x + c[2] * x**2 + c[3] * x**3,
+        lambda x, c: np.sin(3.0 * c[0] * x + c[1]) + 0.3 * c[2],
+        lambda x, c: np.exp(c[0] * x) - 1.5 - c[1],
+        lambda x, c: (x - c[0]) ** 3 * (1.0 + c[1] ** 2),
+    ]
+    compared = 0
+    for k in range(400):
+        c = rng.standard_normal(4)
+        f = lambda x, c=c, family=families[k % 4]: float(family(x, c))
+        a, b = np.sort(rng.uniform(-3.0, 3.0, 2))
+        fa, fb = f(a), f(b)
+        if fa * fb >= 0.0:
+            continue
+        try:
+            want = brentq(f, a, b, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+        except RuntimeError:
+            want = "no convergence"
+        try:
+            got = _brent(f, a, b, fa, fb)
+        except RuntimeError:
+            got = "no convergence"
+        assert got == want, (k, a, b)
+        compared += 1
+    assert compared >= 150
+
+
+class TestRefinementCost:
+    """A switch costs one exponential: Brent's method runs on a Taylor
+    polynomial of psi about the bracket end, every bracket end comes from
+    one stacked call, and the levels from another."""
+
+    NAMES = ("matrix_exponential", "_psi", "_expm_stack")
 
     @pytest.mark.parametrize("A, c, switches", [
         (demo_system().A, [1.0, -1.0], 1),
@@ -330,9 +365,13 @@ class TestRefinementCost:
         sys = LtiSystem(A, demo_system().B)
         want = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0, scan_resolution=1e-6)
         calls = count_calls(monkeypatch, self.NAMES)
+        stacked, counted = [], boundary._expm_stack
+        monkeypatch.setattr(boundary, "_expm_stack",
+                            lambda A, times: stacked.append(len(times)) or counted(A, times))
         got = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0)
         assert len(got.switch_times) == len(want.switch_times) == switches
-        assert calls == {"matrix_exponential": switches, "_psi": 0}
+        assert calls == {"matrix_exponential": 0, "_psi": 0, "_expm_stack": 2}
+        assert stacked == [switches, switches + 1]
         assert np.max(np.abs(got.switch_times - want.switch_times)) <= 1e-12
         assert np.array_equal(got.values, want.values)
 
@@ -620,18 +659,23 @@ class TestChannelSignChanges:
             assert _channel_sign_changes(values) == sign_changes_by_sign_product(values)
 
 
+def refine_zero(sys, c, T, i, a, b):
+    """_refine_zero with its bracket-end row c^T e^{A (T - b)} formed here."""
+    return _refine_zero(sys, c, T, i, a, b, c @ matrix_exponential(sys.A, T - b))
+
+
 class TestRefineZero:
     def test_bracket_without_sign_change_warns(self, caplog):
         sys = integrator()
         with caplog.at_level("WARNING", logger="reachkit.boundary"):
-            t = _refine_zero(sys, np.array([1.0, 0.0]), 1.0, 0, 0.25, 0.5)
+            t = refine_zero(sys, np.array([1.0, 0.0]), 1.0, 0, 0.25, 0.5)
         assert t == 0.375
         assert "[0.25, 0.5]" in caplog.text
 
     def test_confirmed_bracket_is_silent(self, caplog):
         sys = LtiSystem([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]])
         with caplog.at_level("WARNING", logger="reachkit.boundary"):
-            t = _refine_zero(sys, np.array([1.0, 0.0]), 1.0, 0, 0.5, 1.5)
+            t = refine_zero(sys, np.array([1.0, 0.0]), 1.0, 0, 0.5, 1.5)
         # psi(t) = sin(1 - t) vanishes at t = 1
         assert abs(t - 1.0) <= 1e-14
         assert caplog.records == []
@@ -642,7 +686,7 @@ class TestRefineZero:
         w = 2.0 * np.pi
         sys = LtiSystem([[0.0, w], [-w, 0.0]], [[0.0], [1.0]])
         with caplog.at_level("WARNING", logger="reachkit.boundary"):
-            t = _refine_zero(sys, np.array([1.0, 0.0]), 1.0, 0, 0.5 + 1e-13, 0.51)
+            t = refine_zero(sys, np.array([1.0, 0.0]), 1.0, 0, 0.5 + 1e-13, 0.51)
         assert abs(t - 0.5) <= 1e-14
         assert caplog.records == []
 

@@ -10,12 +10,16 @@ import reachkit
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-# scipy packages that some reachkit functions import on first use, and
-# scipy.stats, which nothing imports
+# scipy packages that some reachkit functions import on first use, scipy.linalg,
+# which scipy.spatial imports, and scipy.stats, which nothing imports;
+# any_scipy() says whether any scipy module at all is loaded
 PRELUDE = """import json, sys
 def loaded():
     return sorted({'.'.join(m.split('.')[:2]) for m in sys.modules}
-                  & {'scipy.optimize', 'scipy.spatial', 'scipy.special', 'scipy.stats'})
+                  & {'scipy.linalg', 'scipy.optimize', 'scipy.spatial', 'scipy.special',
+                     'scipy.stats'})
+def any_scipy():
+    return any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)
 """
 
 
@@ -29,8 +33,27 @@ def run_python(code: str):
 
 
 def test_cli_import_loads_no_deferred_scipy_package():
-    # each would add to the start of every CLI run, whatever its task
-    assert run_python("import reachkit, reachkit.cli\nprint(json.dumps(loaded()))") == []
+    # any scipy module would add to the start of every CLI run, whatever its task
+    assert run_python("import reachkit, reachkit.cli\nprint(json.dumps(any_scipy()))") is False
+
+
+def test_switching_functions_load_no_scipy():
+    # the exponentials and the root polish of the switch scan are numpy's own
+    code = """
+import numpy as np
+import reachkit as rk
+demo = rk.LtiSystem([[0.4, -0.3], [0.5, 1.7]], [[1.0], [0.0]])
+c = np.array([1.0, -1.0])
+u = rk.bang_bang_control(demo, rk.ControlBounds.symmetric(1.0), c, 1.0)
+report = rk.switch_count(demo, c, 1.0, 1_000_001)
+print(json.dumps({"scipy": any_scipy(), "switches": u.switch_times.tolist(),
+                  "count": report.sign_changes.tolist()}))
+"""
+    got = run_python(code)
+    demo = reachkit.LtiSystem([[0.4, -0.3], [0.5, 1.7]], [[1.0], [0.0]])
+    c = np.array([1.0, -1.0])
+    want = reachkit.bang_bang_control(demo, reachkit.ControlBounds.symmetric(1.0), c, 1.0)
+    assert got == {"scipy": False, "switches": want.switch_times.tolist(), "count": [1]}
 
 
 def test_first_use_loads_each_package_and_works():
@@ -56,13 +79,14 @@ print(json.dumps({"steps": steps, "grid": grid.tobytes().hex(), "volume": hull.v
                   "optimum": res.optimum.as_array(["x1", "x2"]).tolist()}))
 """
     got = run_python(code)
-    # scipy.spatial imports scipy.special, and scipy.optimize imports both
+    # scipy.spatial imports scipy.linalg and scipy.special, and scipy.optimize
+    # imports all three; bang_bang_control imports nothing
     assert got["steps"] == {
         "import": [],
         "costate_grid": ["scipy.special"],
-        "convex_hull": ["scipy.spatial", "scipy.special"],
-        "bang_bang_control": ["scipy.optimize", "scipy.spatial", "scipy.special"],
-        "optimize": ["scipy.optimize", "scipy.spatial", "scipy.special"],
+        "convex_hull": ["scipy.linalg", "scipy.spatial", "scipy.special"],
+        "bang_bang_control": ["scipy.linalg", "scipy.spatial", "scipy.special"],
+        "optimize": ["scipy.linalg", "scipy.optimize", "scipy.spatial", "scipy.special"],
     }
     assert got["grid"] == reachkit.costate_grid(3, [0.5, 1.0], 8).tobytes().hex()
     assert got["volume"] == 1.0
@@ -75,12 +99,11 @@ print(json.dumps({"steps": steps, "grid": grid.tobytes().hex(), "volume": hull.v
 
 
 def test_gramian_cli_run_skips_optimize_and_spatial(tmp_path):
+    # and every other scipy module
     code = f"""
 from reachkit import cli
 raw = json.loads(open({str(CONFIG_DIR / "gramian.json")!r}).read())
 code = cli.run(raw, out_dir={str(tmp_path / "out")!r})
-print(json.dumps({{"code": code, "loaded": loaded()}}))
+print(json.dumps({{"code": code, "scipy": any_scipy()}}))
 """
-    got = run_python(code)
-    assert got["code"] == 0
-    assert not {"scipy.optimize", "scipy.spatial"} & set(got["loaded"])
+    assert run_python(code) == {"code": 0, "scipy": False}

@@ -163,6 +163,14 @@ class TestCostateGrid:
         with pytest.raises(ValueError, match="magnitudes must be a scalar or 1-D"):
             costate_grid(2, [[1.0, 2.0]], 4)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fractional_direction_count_rejected(self, n):
+        # 4.5 used to space the n = 2 angles by 2 pi / 4.5, leaving a 40 degree
+        # gap, and n = 3 failed inside numpy with a message naming no parameter
+        with pytest.raises(TypeError, match="directions_per_shell must be an integer, got 4.5"):
+            costate_grid(n, [1.0], 4.5)
+        assert costate_grid(n, [1.0], np.int64(4)).tobytes() == costate_grid(n, [1.0], 4).tobytes()
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_state_count_below_one_rejected(self, n):
         # n = 0 used to fail inside numpy's reshape, n = -1 on negative dimensions

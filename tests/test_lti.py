@@ -20,12 +20,14 @@ from reachkit.errors import DimensionError, IntervalError, NumericRangeError
 from reachkit.lti import _doubling_table, _expm_stack, _grid_factors
 
 from helpers import (
+    DEMO_A,
     DEMO_EIG_FAST,
     DEMO_EIG_SLOW,
     closed_form_expm_grid,
     conv_integral_oracle,
     demo_system,
     eig_expm,
+    mp_expm,
     random_stable_system,
 )
 
@@ -105,12 +107,67 @@ class TestMatrixExponential:
         with pytest.raises(NumericRangeError, match=r"overflowed for \|t\| = 1000.0$"):
             matrix_exponential(np.diag([1000.0, 1000.0]), 1000.0)
 
-    def test_equals_scipy_expm_bit_for_bit(self):
-        rng = np.random.default_rng(21)
-        for n in (1, 2, 3, 5):
-            A = rng.standard_normal((n, n))
-            t = float(rng.uniform(-3.0, 3.0))
-            assert np.array_equal(matrix_exponential(A, t), expm(A * t))
+
+# Named spectra for the 50-digit oracle: saddle, stiff and oscillatory,
+# beside a Jordan block and a nilpotent matrix
+EXPM_ORACLE_CASES = {
+    "demo": DEMO_A,
+    "saddle": [[20.0, 1.0], [0.0, -20.0]],
+    "stiff": [[-1.0, 1e3], [0.0, -50.0]],
+    "oscillatory": [[-0.5, 30.0], [-30.0, -0.5]],
+    "jordan": [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -2.0]],
+    "nilpotent": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+}
+
+
+def oracle_errors(A, t):
+    """The errors of matrix_exponential and of scipy's expm on e^{A t}
+    against mp_expm, each relative to the largest entry of e^{A t}, and the
+    error the kernel is allowed: twice scipy's, or 1e-15, or 4 u ||A t||_1.
+    The last is roundoff that e^{A t}'s own conditioning lets any method
+    commit, its relative condition number being at least ||A t||
+    (Van Loan, SIAM J. Numer. Anal. 14(6), 1977); scipy's error on a case
+    that it squares depends on where its roundoff happens to fall."""
+    want = mp_expm(A, t)
+    scale = np.max(np.abs(want))
+    ours = np.max(np.abs(matrix_exponential(A, t) - want)) / scale
+    theirs = np.max(np.abs(expm(A * t) - want)) / scale
+    allowed = max(2.0 * theirs, 1e-15, 4.0 * 2.0**-53 * np.linalg.norm(A * t, 1))
+    return ours, theirs, allowed
+
+
+class TestExpmOracle:
+    @pytest.mark.parametrize("name", sorted(EXPM_ORACLE_CASES))
+    def test_named_spectra(self, name):
+        A = np.array(EXPM_ORACLE_CASES[name])
+        for t in (1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0):
+            ours, theirs, allowed = oracle_errors(A, t)
+            assert ours <= allowed, (t, ours, theirs)
+
+    def test_random_matrices(self):
+        # n <= 5, ||A|| up to about 80, times from 1e-6 to 1
+        rng = np.random.default_rng(30)
+        errors = []
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            A = rng.standard_normal((n, n)) * rng.uniform(0.1, 80.0) / np.sqrt(n)
+            t = 10.0 ** rng.uniform(-6.0, 0.0)
+            ours, theirs, allowed = oracle_errors(A, t)
+            assert ours <= allowed, (A.tolist(), t, ours, theirs)
+            errors.append((ours, theirs))
+        ours, theirs = np.array(errors).T
+        assert ours.sum() <= theirs.sum() and ours.max() <= theirs.max()
+
+    def test_oracle_meets_closed_forms(self):
+        # scalar and diagonal: exp of the entries; the demo: its 2-by-2 closed form
+        assert abs(mp_expm([[-3.5]], 0.7)[0, 0] / math.exp(-2.45) - 1.0) <= 2.3e-16
+        diagonal = np.diag([0.3, -1.2, 4.0])
+        assert np.allclose(mp_expm(diagonal, 0.7), np.diag(np.exp(np.diag(diagonal) * 0.7)),
+                           rtol=2.3e-16, atol=0.0)
+        times = np.array([1e-3, 0.5, 1.0])
+        want = closed_form_expm_grid(DEMO_A, times)
+        for t, w in zip(times, want):
+            assert np.max(np.abs(mp_expm(DEMO_A, t) - w)) <= 1e-15 * np.max(np.abs(w))
 
 
 class TestPiecewiseConstantControl:
