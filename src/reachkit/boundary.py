@@ -139,6 +139,9 @@ def _switching_grid(sys: LtiSystem, c, T: float, num: int) -> np.ndarray:
 # Brent's method stops once the bracket is narrower than XTOL + RTOL |x|
 XTOL = 1e-15
 RTOL = 4.0 * np.finfo(float).eps
+# the widest bracket, in units of 1 / (2 ||A||_1), that _refine_zero
+# polishes on a Taylor polynomial of psi
+TAYLOR_REACH = 0.25
 
 
 def _brent(f, pre: float, cur: float, f_pre: float, f_cur: float) -> float:
@@ -175,22 +178,29 @@ def _brent(f, pre: float, cur: float, f_pre: float, f_cur: float) -> float:
     raise RuntimeError(f"no convergence to the zero between {pre!r} and {cur!r}")
 
 
+def _taylor_reach(sys: LtiSystem, a: float, b: float) -> float:
+    """2 ||A||_1 (b - a): _refine_zero polishes the bracket (a, b) on psi's
+    Taylor polynomial when this is at most TAYLOR_REACH."""
+    return 2.0 * np.linalg.norm(sys.A, 1) * (b - a)
+
+
 def _refine_zero(sys, c, T, i, a, b, r):
     """The zero of psi_i in the grid bracket (a, b), by _brent, given
     r = c^T e^{A (T - b)}.
 
     With h = b - a, psi_i(t) = r e^{A (b - t)} b_i for column b_i of B.
-    When 2 ||A||_1 h <= 1/4, psi_i is evaluated as its Taylor polynomial
-    sum_k (r A^k b_i / k!) (b - t)^k, kept up to the K with
-    (2 ||A||_1 h)^(K+1) / (K+1)! < 1e-18, so it is exact to roundoff for
-    |b - t| <= 2h, which holds every point evaluated below, and r serves
-    the whole refinement; a wider bracket evaluates psi_i directly. A
-    bracket whose endpoints do not differ in sign holds a zero on a grid
-    node and is widened by one step beyond it; one that still shows no sign
-    change gives its midpoint.
+    When reach = 2 ||A||_1 h is at most TAYLOR_REACH = 1/4, psi_i is
+    evaluated as its Taylor polynomial sum_k (r A^k b_i / k!) (b - t)^k,
+    kept up to the K with reach^(K+1) / (K+1)! < 1e-18, so it is exact to
+    roundoff for |b - t| <= 2h, which holds every point evaluated below,
+    and r serves the whole refinement; a wider bracket evaluates psi_i
+    directly and does not read r, which may then be None. A bracket whose
+    endpoints do not differ in sign holds a zero on a grid node and is
+    widened by one step beyond it; one that still shows no sign change
+    gives its midpoint.
     """
-    reach = 2.0 * np.linalg.norm(sys.A, 1) * (b - a)
-    if reach <= 0.25:
+    reach = _taylor_reach(sys, a, b)
+    if reach <= TAYLOR_REACH:
         # terms[k] = A^k b_i / k!, up to the first k whose successor's
         # bound reach^(k+1) / (k+1)! is negligible
         terms, bound = [sys.B[:, i]], reach
@@ -264,9 +274,10 @@ def bang_bang_control(
     Channel i takes upper[i] where psi_i(t; c) >= 0 and lower[i] elsewhere.
     Sign changes are bracketed on a uniform grid over [0, T] and refined by
     Brent's method (_brent), so the returned breakpoints are accurate to
-    root-finding precision. Each refinement costs one entry of a stacked
-    exponential at the bracket ends, since on a short bracket psi is a
-    Taylor polynomial about its end (see _refine_zero), and the levels of
+    root-finding precision. A refinement on a short bracket costs one
+    entry of a stacked exponential at the bracket ends, since there psi is
+    a Taylor polynomial about its end (see _refine_zero); a wider bracket,
+    from a coarse scan_resolution, evaluates psi directly. The levels of
     all segments come from one stacked exponential at their midpoints.
     By default the grid has 32 intervals per unit of
     ||A||_1 T + T max|Im lambda| / pi (between 64 and 2^16), which resolves
@@ -303,12 +314,16 @@ def bang_bang_control(
             )
             brackets, zero = _grid_brackets(sys, c, T, RESCAN_FACTOR * intervals)
 
-    # every bracket's c^T e^{A (T - b)} from one stacked exponential, whose
-    # entries are bit for bit the direct ones
+    # c^T e^{A (T - b)} at the end of every bracket that _refine_zero polishes
+    # on a Taylor polynomial, from one stacked exponential whose entries are
+    # bit for bit the direct ones; a wider bracket evaluates psi directly
     pairs = [(i, a, b) for i, channel in enumerate(brackets) for a, b in channel]
-    ends = c @ _expm_stack(sys.A, T - np.array([b for _, _, b in pairs])) if pairs else ()
+    taylor = [_taylor_reach(sys, a, b) <= TAYLOR_REACH for _, a, b in pairs]
+    ends = [b for (_, _, b), short in zip(pairs, taylor) if short]
+    rows = iter(c @ _expm_stack(sys.A, T - np.array(ends)) if ends else ())
     switch_times = np.array(sorted(
-        _refine_zero(sys, c, T, i, a, b, r) for (i, a, b), r in zip(pairs, ends)
+        _refine_zero(sys, c, T, i, a, b, next(rows) if short else None)
+        for (i, a, b), short in zip(pairs, taylor)
     ))
     if len(switch_times) > 1:
         keep = np.concatenate([[True], np.diff(switch_times) > 1e-12 * max(T, 1.0)])

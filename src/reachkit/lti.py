@@ -148,8 +148,10 @@ _PADE_ORDERS = (3, 5, 7, 9, 13)
 _THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
           2.097847961257068, 4.25)
 _ELL_13 = (2.0**-53 * math.factorial(26) * math.factorial(27) / math.factorial(13) ** 2) ** (1 / 26)
-# p_m's coefficients b_m, b_m-1, ..., b_0 as (m // 2 + 1, 2) rows
-_PADE = {m: _pade_numerator(m)[::-1].reshape(-1, 2) for m in _PADE_ORDERS}
+# p_m's coefficients b_k, and the k of each, as (2, m // 2 + 1): the odd
+# powers b_m, b_m-2, ..., b_1 in row 0 and the even ones in row 1
+_PADE = {m: _pade_numerator(m)[::-1].reshape(-1, 2).T.copy() for m in _PADE_ORDERS}
+_PADE_POWERS = {m: np.arange(m, -1, -1).reshape(-1, 2).T.copy() for m in _PADE_ORDERS}
 
 
 def _even_powers(A: np.ndarray, p: int) -> np.ndarray:
@@ -195,20 +197,6 @@ def _order_13_squarings(A: np.ndarray, even: np.ndarray, norm: float, sizes) -> 
     return squarings
 
 
-def _pade_weights(m: int, tau_powers) -> np.ndarray:
-    """b_k tau^k, the weights of A^k in p_m(tau A), as (len(tau_powers), 2,
-    m // 2 + 1): the odd powers in row 0 and the even ones in row 1, each
-    highest power first. Row i of tau_powers holds tau_i^0, tau_i^1, ...,
-    each the previous times tau_i; a list of one such row is taken as
-    Python floats, which round alike."""
-    if isinstance(tau_powers, list):
-        (row,) = tau_powers
-        weights = np.array([b * x for b, x in zip(_PADE[m].ravel().tolist(), row[m::-1])])
-    else:
-        weights = tau_powers[:, m::-1].reshape(len(tau_powers), -1, 2) * _PADE[m]
-    return weights.reshape(-1, m // 2 + 1, 2).transpose(0, 2, 1)
-
-
 def _pade_solve(A: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """r_m(tau_i A) for each entry of sums, (K, 2, n, n), whose rows hold
     the sum over p_m's odd powers divided by A and the sum over its even
@@ -218,28 +206,6 @@ def _pade_solve(A: np.ndarray, sums: np.ndarray) -> np.ndarray:
     odd = A @ sums[:, 0]
     X = np.linalg.solve(sums[:, 1] - odd, odd + odd)
     X.reshape(len(X), -1)[:, :: len(A) + 1] += 1.0
-    return X
-
-
-def _expm_single(A: np.ndarray, t: float):
-    """e^{A t} as (1, n, n) by _expm_kernel's arithmetic for one time,
-    without its ranking and grouping, for an A that is not triangular and
-    whose norm needs no power-of-two scale; None for any other A."""
-    if any(_triangular(A)):
-        return None
-    n = len(A)
-    norm = float(np.abs(A).sum(axis=0).max())
-    if abs(math.frexp(norm)[1]) > 64:
-        return None
-    m = _PADE_ORDERS[bisect.bisect_left(_THETA, abs(t) * norm, hi=len(_THETA) - 1)]
-    even = _even_powers(A, m // 2)
-    squarings = _order_13_squarings(A, even, norm, [abs(t)])[0] if m == 13 else 0
-    tau, row = math.ldexp(t, -squarings), [1.0]
-    for _ in range(m):
-        row.append(row[-1] * tau)
-    X = _pade_solve(A, (_pade_weights(m, [row]) @ even.reshape(len(even), -1)).reshape(1, 2, n, n))
-    for _ in range(squarings):
-        X = X @ X
     return X
 
 
@@ -323,7 +289,8 @@ def _expm_kernel(A: np.ndarray, t: np.ndarray) -> np.ndarray:
     for group in sorted(set(order), reverse=True):
         stop = start + order.count(group)
         m = _PADE_ORDERS[group]
-        weights = _pade_weights(m, tau_powers[start:stop])
+        # b_k tau^k, the weight of A^k in p_m(tau A), in _PADE[m]'s layout
+        weights = tau_powers[start:stop, _PADE_POWERS[m]] * _PADE[m]
         np.matmul(weights, even[-(m // 2) - 1 :].reshape(m // 2 + 1, -1), out=sums[start:stop])
         start = stop
     X = _pade_solve(A, sums.reshape(len(t), 2, n, n))
@@ -349,16 +316,12 @@ def _expm_stack(A: np.ndarray, times) -> np.ndarray:
     with their squarings. A's even powers are formed once for the whole
     stack; each entry then takes its own order, weights, solve and
     squarings, so entry i is bit for bit matrix_exponential(A, times[i]),
-    which takes the same steps in _expm_single. A diagonal A gives exp of
+    the same kernel on a one-entry stack. A diagonal A gives exp of
     its diagonal, and a triangular A gets its diagonal and superdiagonal in
     closed form at every squaring.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # a float time (the Gramian's block, the switching function) skips
-        # the stack's bookkeeping where the matrix allows
-        out = _expm_single(A, times) if isinstance(times, float) else None
-        if out is None:
-            out = _expm_kernel(A, np.asarray(times, dtype=float).reshape(-1))
+        out = _expm_kernel(A, np.asarray(times, dtype=float).reshape(-1))
     if not np.isfinite(out).all():
         raise NumericRangeError(f"exp(A t) overflowed for |t| = {np.max(np.abs(times))}")
     return out.reshape(np.shape(times) + A.shape)

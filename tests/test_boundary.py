@@ -382,6 +382,8 @@ class TestRefinementCost:
         calls = count_calls(monkeypatch, self.NAMES)
         got = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0, scan_resolution=0.25)
         assert calls["_psi"] > 1
+        # no bracket-end row is formed for it: the one stacked call is the levels'
+        assert calls["_expm_stack"] == 1
         assert len(got.switch_times) == len(want.switch_times) == 1
         assert abs(got.switch_times[0] - want.switch_times[0]) <= 1e-12
         assert abs(got.switch_times[0] - 0.9) <= 1e-9
