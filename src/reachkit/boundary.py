@@ -130,17 +130,19 @@ def switching_function(sys: LtiSystem, c, T: float, t: float) -> np.ndarray:
     return _psi(sys, _costate(sys, c), T, t)
 
 
-def _switching_grid(sys: LtiSystem, c, T: float, num: int) -> np.ndarray:
-    """psi on linspace(0, T, num), shape (num, m)."""
+def _switching_grid(sys: LtiSystem, c: np.ndarray, T: float, num: int):
+    """psi on linspace(0, T, num), shape (num, m), and the rows
+    r_k = c^T e^{A (T - t_k)} it is formed from, shape (num, n)."""
     # e^{A (T - t_k)} for t_k ascending equals e^{A s} for s descending
-    return expm_grid(sys.A, T, 0.0, num, left=np.asarray(c, dtype=float), right=sys.B)[:, 0]
+    rows = expm_grid(sys.A, T, 0.0, num, left=c)[:, 0]
+    return rows @ sys.B, rows
 
 
 # Brent's method stops once the bracket is narrower than XTOL + RTOL |x|
 XTOL = 1e-15
 RTOL = 4.0 * np.finfo(float).eps
-# the widest bracket, in units of 1 / (2 ||A||_1), that _refine_zero
-# polishes on a Taylor polynomial of psi
+# the largest ||A||_1 |s| at which bang_bang_control evaluates psi as its
+# Taylor polynomial about a scan row, s being the distance from the row's node
 TAYLOR_REACH = 0.25
 
 
@@ -178,38 +180,44 @@ def _brent(f, pre: float, cur: float, f_pre: float, f_cur: float) -> float:
     raise RuntimeError(f"no convergence to the zero between {pre!r} and {cur!r}")
 
 
-def _taylor_reach(sys: LtiSystem, a: float, b: float) -> float:
-    """2 ||A||_1 (b - a): _refine_zero polishes the bracket (a, b) on psi's
-    Taylor polynomial when this is at most TAYLOR_REACH."""
-    return 2.0 * np.linalg.norm(sys.A, 1) * (b - a)
+def _taylor_terms(reach: float) -> int:
+    """The number K + 1 of Taylor terms of e^{A s} kept where ||A||_1 |s| is
+    at most reach: the least with reach^(K+1) / (K+1)! < 1e-18."""
+    terms, bound = 1, reach
+    while bound >= 1e-18:
+        terms += 1
+        bound *= reach / terms
+    return terms
 
 
-def _refine_zero(sys, c, T, i, a, b, r):
-    """The zero of psi_i in the grid bracket (a, b), by _brent, given
-    r = c^T e^{A (T - b)}.
+def _taylor_table(sys: LtiSystem, terms: int) -> np.ndarray:
+    """A^k B / k! for k = 0..terms-1 side by side, shape (n, terms * m): for
+    a row r = c^T e^{A (T - t_0)}, (r @ table).reshape(terms, m) holds psi's
+    Taylor coefficients in s = t_0 - t."""
+    blocks = [sys.B]
+    for k in range(1, terms):
+        blocks.append(sys.A @ blocks[-1] / k)
+    return np.hstack(blocks)
 
-    With h = b - a, psi_i(t) = r e^{A (b - t)} b_i for column b_i of B.
-    When reach = 2 ||A||_1 h is at most TAYLOR_REACH = 1/4, psi_i is
-    evaluated as its Taylor polynomial sum_k (r A^k b_i / k!) (b - t)^k,
-    kept up to the K with reach^(K+1) / (K+1)! < 1e-18, so it is exact to
-    roundoff for |b - t| <= 2h, which holds every point evaluated below,
-    and r serves the whole refinement; a wider bracket evaluates psi_i
-    directly and does not read r, which may then be None. A bracket whose
+
+def _refine_zero(sys, c, T, i, a, b, coefficients=None):
+    """The zero of psi_i in the grid bracket (a, b), by _brent.
+
+    coefficients, when given, are psi_i's Taylor coefficients about b,
+    r A^k b_i / k! for k = 0..K with r = c^T e^{A (T - b)}, and psi_i is
+    evaluated as that polynomial in b - t. The caller gives them when
+    reach = 2 ||A||_1 (b - a) is at most TAYLOR_REACH, with
+    K + 1 >= _taylor_terms(reach), so that the polynomial is exact to
+    roundoff for |b - t| <= 2 (b - a), which holds every point evaluated
+    below; without them psi_i is evaluated directly. A bracket whose
     endpoints do not differ in sign holds a zero on a grid node and is
     widened by one step beyond it; one that still shows no sign change
     gives its midpoint.
     """
-    reach = _taylor_reach(sys, a, b)
-    if reach <= TAYLOR_REACH:
-        # terms[k] = A^k b_i / k!, up to the first k whose successor's
-        # bound reach^(k+1) / (k+1)! is negligible
-        terms, bound = [sys.B[:, i]], reach
-        while bound >= 1e-18:
-            terms.append(sys.A @ terms[-1] / len(terms))
-            bound *= reach / len(terms)
+    if coefficients is not None:
         # Horner's rule from the top coefficient; the expansion point is this b,
         # not the b the node-zero branch below may move
-        coefficients = (r @ np.column_stack(terms))[::-1].tolist()
+        coefficients = coefficients[::-1].tolist()
 
         def f(t, center=b):
             s, value = center - t, 0.0
@@ -250,20 +258,22 @@ def _channel_sign_changes(values: np.ndarray):
 
 
 def _zero_scale(sys: LtiSystem, c: np.ndarray) -> float:
-    """Peak |psi| below which a channel is identically zero up to roundoff."""
-    return 1e-12 * np.linalg.norm(c) * np.linalg.norm(sys.B, 2)
+    """Peak |psi| below which a channel is identically zero up to roundoff:
+    1e-12 ||c|| ||B||_2, with ||B||_2 from the m-by-m Gram matrix B^T B
+    (for m = 1 the column norm)."""
+    gram = sys.B.T @ sys.B
+    largest = gram[0, 0] if sys.m == 1 else np.linalg.eigvalsh(gram)[-1]
+    return 1e-12 * math.sqrt(c @ c) * math.sqrt(largest)
 
 
-def _grid_brackets(sys: LtiSystem, c, T: float, intervals: int):
-    """Per channel, the (a, b) time brackets of psi's sign changes on
-    linspace(0, T, intervals + 1), and which channels are identically zero
-    there; those channels get no brackets, since their signs are roundoff."""
-    psi = _switching_grid(sys, c, T, intervals + 1)
-    zero = np.max(np.abs(psi), axis=0) < _zero_scale(sys, c)
-    # the times of the grid, without forming the whole grid
-    node = lambda j: T if j == intervals else j * (T / intervals)
-    return [[] if zero[i] else [(node(j), node(k)) for j, k in _channel_sign_changes(psi[:, i])]
-            for i in range(sys.m)], zero
+def _grid_brackets(sys: LtiSystem, c: np.ndarray, T: float, intervals: int, zero_scale: float):
+    """The scan on linspace(0, T, intervals + 1): its rows of _switching_grid,
+    per channel the node pairs (j, k) of psi's sign changes, and which
+    channels are identically zero there; those channels get no brackets,
+    since their signs are roundoff."""
+    psi, rows = _switching_grid(sys, c, T, intervals + 1)
+    zero = np.max(np.abs(psi), axis=0) < zero_scale
+    return rows, [[] if zero[i] else _channel_sign_changes(psi[:, i]) for i in range(sys.m)], zero
 
 
 def bang_bang_control(
@@ -274,11 +284,18 @@ def bang_bang_control(
     Channel i takes upper[i] where psi_i(t; c) >= 0 and lower[i] elsewhere.
     Sign changes are bracketed on a uniform grid over [0, T] and refined by
     Brent's method (_brent), so the returned breakpoints are accurate to
-    root-finding precision. A refinement on a short bracket costs one
-    entry of a stacked exponential at the bracket ends, since there psi is
-    a Taylor polynomial about its end (see _refine_zero); a wider bracket,
-    from a coarse scan_resolution, evaluates psi directly. The levels of
-    all segments come from one stacked exponential at their midpoints.
+    root-finding precision. The scan keeps the rows
+    r_k = c^T e^{A (T - t_k)} of its nodes, and near a node psi is the
+    Taylor polynomial sum_j (r_k A^j B / j!) (t_k - t)^j, from one table of
+    A^j B / j! per call, kept to the term below 1e-18 where
+    ||A||_1 |t_k - t| <= TAYLOR_REACH. A bracket (a, b) with
+    2 ||A||_1 (b - a) within that reach is refined on the polynomial about
+    b (see _refine_zero), and each level is the sign of psi at its
+    segment's midpoint, on the polynomial about the nearest node, so on a
+    default grid the scan is the call's one exponential. A wider bracket
+    evaluates psi directly, and a grid of intervals h with ||A||_1 h / 2
+    beyond the reach takes the levels from one stacked exponential at the
+    midpoints.
     By default the grid has 32 intervals per unit of
     ||A||_1 T + T max|Im lambda| / pi (between 64 and 2^16), which resolves
     the fastest rate and every half period of oscillation; an explicit
@@ -295,16 +312,19 @@ def bang_bang_control(
     c = _costate(sys, c)
     if bounds.m != sys.m:
         raise DimensionError(f"bounds have {bounds.m} channels, system has {sys.m}")
+    norm = float(np.abs(sys.A).sum(axis=0).max())
+    zero_scale = _zero_scale(sys, c)
     if scan_resolution is not None:
         if not 0.0 < scan_resolution <= 1.0:
             raise ValueError(f"scan_resolution must lie in (0, 1], got {scan_resolution}")
-        brackets, zero = _grid_brackets(sys, c, T, int(round(1.0 / scan_resolution)))
+        intervals = int(round(1.0 / scan_resolution))
+        rows, brackets, zero = _grid_brackets(sys, c, T, intervals, zero_scale)
     else:
         eigenvalues = np.linalg.eigvals(sys.A)
-        scale = np.linalg.norm(sys.A, 1) * T + T * np.max(np.abs(eigenvalues.imag)) / np.pi
+        scale = norm * T + T * np.max(np.abs(eigenvalues.imag)) / np.pi
         intervals = min(MAX_GRID_INTERVALS,
                         max(MIN_GRID_INTERVALS, math.ceil(GRID_INTERVALS_PER_UNIT * scale)))
-        brackets, zero = _grid_brackets(sys, c, T, intervals)
+        rows, brackets, zero = _grid_brackets(sys, c, T, intervals, zero_scale)
         most = max(len(pairs) for pairs in brackets)
         if most > sys.n - 1 and np.all(np.isreal(eigenvalues)):
             logger.warning(
@@ -312,27 +332,46 @@ def bang_bang_control(
                 "real spectrum; rescanning on %d intervals", most, intervals, sys.n - 1,
                 RESCAN_FACTOR * intervals,
             )
-            brackets, zero = _grid_brackets(sys, c, T, RESCAN_FACTOR * intervals)
+            intervals *= RESCAN_FACTOR
+            rows, brackets, zero = _grid_brackets(sys, c, T, intervals, zero_scale)
 
-    # c^T e^{A (T - b)} at the end of every bracket that _refine_zero polishes
-    # on a Taylor polynomial, from one stacked exponential whose entries are
-    # bit for bit the direct ones; a wider bracket evaluates psi directly
-    pairs = [(i, a, b) for i, channel in enumerate(brackets) for a, b in channel]
-    taylor = [_taylor_reach(sys, a, b) <= TAYLOR_REACH for _, a, b in pairs]
-    ends = [b for (_, _, b), short in zip(pairs, taylor) if short]
-    rows = iter(c @ _expm_stack(sys.A, T - np.array(ends)) if ends else ())
-    switch_times = np.array(sorted(
-        _refine_zero(sys, c, T, i, a, b, next(rows) if short else None)
-        for (i, a, b), short in zip(pairs, taylor)
-    ))
+    # the times of the grid, without forming the whole grid
+    h = T / intervals
+    node = lambda j: T if j == intervals else j * h
+    pairs = [(i, node(j), node(k), k) for i, channel in enumerate(brackets) for j, k in channel]
+    # psi about node t_k is sum_j (r_k A^j B / j!) (t_k - t)^j, which one
+    # table of A^j B / j! serves wherever ||A||_1 |t_k - t| <= TAYLOR_REACH:
+    # a level is evaluated within h / 2 of its nearest node, and a polished
+    # bracket (a, b) within 2 (b - a) of b, so no bracket is polished on a
+    # grid too coarse for the levels
+    level_reach = 0.5 * norm * h
+    reach = [2.0 * norm * (b - a) for _, a, b, _ in pairs]
+    table = None
+    if level_reach <= TAYLOR_REACH:
+        widest = max([level_reach] + [x for x in reach if x <= TAYLOR_REACH])
+        table = _taylor_table(sys, _taylor_terms(widest))
+    switch_times = []
+    for (i, a, b, k), x in zip(pairs, reach):
+        taylor = None
+        if x <= TAYLOR_REACH:
+            taylor = (rows[k] @ table).reshape(-1, sys.m)[: _taylor_terms(x), i]
+        switch_times.append(_refine_zero(sys, c, T, i, a, b, taylor))
+    switch_times = np.array(sorted(switch_times))
     if len(switch_times) > 1:
         keep = np.concatenate([[True], np.diff(switch_times) > 1e-12 * max(T, 1.0)])
         switch_times = switch_times[keep]
 
     edges = np.concatenate([[0.0], switch_times, [T]])
     mids = 0.5 * (edges[:-1] + edges[1:])
-    # one stacked exponential; its entries are bit for bit the direct ones
-    psi_mids = (c @ _expm_stack(sys.A, T - mids)) @ sys.B
+    if table is None:
+        # one stacked exponential; its entries are bit for bit the direct ones
+        psi_mids = (c @ _expm_stack(sys.A, T - mids)) @ sys.B
+    else:
+        nearest = np.rint(mids / h).astype(int)
+        s = np.where(nearest == intervals, T, nearest * h) - mids
+        coefficients = (rows[nearest] @ table).reshape(len(mids), -1, sys.m)
+        powers = s[:, None] ** np.arange(coefficients.shape[1])
+        psi_mids = np.einsum("sk,skm->sm", powers, coefficients)
     values = np.where((psi_mids >= 0.0) | zero, bounds.upper, bounds.lower)
     return PiecewiseConstantControl(switch_times=switch_times, values=values, horizon=T)
 
@@ -356,7 +395,9 @@ def switch_count(sys: LtiSystem, c, T: float, grid_points: int) -> SwitchReport:
     nonzero sample is carried across piece edges. Channels whose peak
     magnitude falls below 1e-12 * ||c|| * ||B|| are flagged identically
     zero and counted as zero switches; a certain row proves its channels
-    are not. The report equals the count over the whole dense grid.
+    are not. The report equals the count over the whole dense grid,
+    expm_grid(A, T, 0, grid_points, left=c, right=B), formed from the same
+    factors.
     """
     if grid_points < 100:
         raise ValueError("grid_points must be >= 100")

@@ -56,6 +56,12 @@ EXIT_NUMERIC = 3
 
 _REQUIRED = object()
 
+# the most work a config may ask for, checked before anything is allocated:
+# boundary samples, quadrature nodes and costate directions per shell
+MAX_N_ETA = 100_000
+MAX_NODES = 100_001
+MAX_DIRECTIONS_PER_SHELL = 10_000
+
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
@@ -99,11 +105,14 @@ class _Section:
             raise ConfigError(f"{self.path}.{key} must be {kind} number, got {value!r}")
         return float(value)
 
-    def integer(self, key, default=_REQUIRED, low=None) -> int:
+    def integer(self, key, default=_REQUIRED, low=None, high=None) -> int:
         value = self.value(key, default)
-        if type(value) is not int or (low is not None and value < low):
-            bound = "" if low is None else f" >= {low}"
-            raise ConfigError(f"{self.path}.{key} must be an integer{bound}, got {value!r}")
+        if (type(value) is not int or (low is not None and value < low)
+                or (high is not None and value > high)):
+            limits = [f" >= {low}"] if low is not None else []
+            limits += [f" <= {high}"] if high is not None else []
+            raise ConfigError(f"{self.path}.{key} must be an integer{' and'.join(limits)}, "
+                              f"got {value!r}")
         return value
 
     def array(self, key, default=_REQUIRED) -> np.ndarray:
@@ -162,8 +171,8 @@ def _parse_sweep(section: _Section, T: float, p=_REQUIRED, nodes=DEFAULT_NODES,
     spec = LpSpec(p=section.integer("p", p), T=T, budget=section.number("budget", 1.0))
     grid = section.section("grid", {})
     radii = grid.array("magnitudes", list(magnitudes))
-    directions = grid.integer("directions_per_shell", directions)
-    nodes = section.integer("nodes", nodes)
+    directions = grid.integer("directions_per_shell", directions, high=MAX_DIRECTIONS_PER_SHELL)
+    nodes = section.integer("nodes", nodes, high=MAX_NODES)
     simpson_weights(nodes, T)  # rejects even and too-small node counts
     return spec, radii, directions, nodes
 
@@ -181,7 +190,7 @@ def _parse_boundary(system: _Section, task: _Section):
     if bounds.m != 1:
         raise ConfigError("task.bounds must be scalar for a single-input system")
     T = task.number("T", positive=True)
-    n_eta = task.integer("n_eta", 400, low=2)
+    n_eta = task.integer("n_eta", 400, low=2, high=MAX_N_ETA)
 
     def compute():
         curve = boundary_curve(sys_, bounds, T=T, n_eta=n_eta)

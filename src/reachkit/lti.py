@@ -332,15 +332,26 @@ def _doubling_table(powers: np.ndarray, count: int) -> np.ndarray:
 
     Entry r is the product of powers[j] over the set bits j of r, so no
     entry carries more than log2(count) factors; powers needs
-    (count - 1).bit_length() levels.
+    (count - 1).bit_length() levels. Each level is one GEMM of the
+    entries so far, stacked as rows, by powers[j].
     """
-    table = np.empty((count,) + powers.shape[1:])
-    table[0] = np.eye(powers.shape[1])
+    n = powers.shape[1]
+    table = np.empty((count, n, n))
+    table[0] = np.eye(n)
+    rows = table.reshape(-1, n)
     for j in range((count - 1).bit_length()):
         size = 1 << j
         top = min(2 * size, count)
-        np.matmul(table[: top - size], powers[j], out=table[size:top])
+        np.matmul(rows[: (top - size) * n], powers[j], out=rows[size * n : top * n])
     return table
+
+
+def _left_fold(left: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """left @ stack[i] for every i, shape (len(stack), p, r), as one GEMM of
+    left (p, n) by the entries of stack (count, n, r) side by side."""
+    count, n, r = stack.shape
+    out = left @ stack.transpose(1, 0, 2).reshape(n, count * r)
+    return out.reshape(len(left), count, r).transpose(1, 0, 2)
 
 
 def _grid_factors(A, t0: float, t1: float, num: int, left=None, right=None):
@@ -350,6 +361,8 @@ def _grid_factors(A, t0: float, t1: float, num: int, left=None, right=None):
     is (width, n, q), and node k of the grid run from its end nearest t = 0
     is anchors[k // width] @ powers[k % width]. forward is False when that
     end is t1, so the caller reverses the nodes to get linspace order.
+    The base exponential and left fold into the anchors, and right into
+    the powers, each as one GEMM over the whole table.
     """
     A = _square_finite(A)
     try:
@@ -373,12 +386,13 @@ def _grid_factors(A, t0: float, t1: float, num: int, left=None, right=None):
     powers = _doubling_table(exps[:k], width)
     anchors = _doubling_table(exps[k:len(times)], count)
     if start:
-        anchors = exps[-1] @ anchors
+        anchors = _left_fold(exps[-1], anchors)
     if left is not None:
-        anchors = np.atleast_2d(np.asarray(left, dtype=float)) @ anchors
+        anchors = _left_fold(np.atleast_2d(np.asarray(left, dtype=float)), anchors)
     if right is not None:
         right = np.asarray(right, dtype=float)
-        powers = powers @ (right[:, None] if right.ndim == 1 else right)
+        right = right[:, None] if right.ndim == 1 else right
+        powers = (powers.reshape(-1, len(A)) @ right).reshape(width, len(A), -1)
     return anchors, powers, start == t0
 
 

@@ -19,8 +19,10 @@ from reachkit import (
     switching_function,
 )
 from reachkit import boundary
-from reachkit.boundary import _brent, _channel_sign_changes, _refine_zero, _switching_grid
+from reachkit.boundary import (_brent, _channel_sign_changes, _refine_zero, _switching_grid,
+                               _taylor_table, _taylor_terms)
 from reachkit.errors import DimensionError, UnsupportedConfigurationError
+from reachkit.lti import expm_grid
 
 from helpers import (demo_system, eig_expm, random_bang_bang, random_planar_real_distinct,
                      random_stable_system)
@@ -276,12 +278,12 @@ class TestSpectralBracketGrid:
         calls = []
 
         def flipped(*args):
-            psi = dense(*args)
+            psi, rows = dense(*args)
             calls.append(len(psi))
             if len(calls) == 1:
                 psi = psi.copy()
                 psi[len(psi) // 4] *= -1.0
-            return psi
+            return psi, rows
 
         monkeypatch.setattr(boundary, "_switching_grid", flipped)
         with caplog.at_level("WARNING", logger="reachkit.boundary"):
@@ -309,9 +311,9 @@ def count_calls(monkeypatch, names):
     """Count the calls bang_bang_control makes to each named boundary function."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*args, name=name, fn=getattr(boundary, name)):
+        def counted(*args, name=name, fn=getattr(boundary, name), **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         monkeypatch.setattr(boundary, name, counted)
     return calls
 
@@ -350,9 +352,9 @@ def test_brent_is_brentq_step_for_step():
 
 
 class TestRefinementCost:
-    """A switch costs one exponential: Brent's method runs on a Taylor
-    polynomial of psi about the bracket end, every bracket end comes from
-    one stacked call, and the levels from another."""
+    """A switch costs no exponential beyond the scan: Brent's method runs on
+    a Taylor polynomial of psi about the bracket end, and each level on one
+    about the node nearest its segment's midpoint, both from the scan's rows."""
 
     NAMES = ("matrix_exponential", "_psi", "_expm_stack")
 
@@ -364,14 +366,10 @@ class TestRefinementCost:
                                                           monkeypatch):
         sys = LtiSystem(A, demo_system().B)
         want = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0, scan_resolution=1e-6)
-        calls = count_calls(monkeypatch, self.NAMES)
-        stacked, counted = [], boundary._expm_stack
-        monkeypatch.setattr(boundary, "_expm_stack",
-                            lambda A, times: stacked.append(len(times)) or counted(A, times))
+        calls = count_calls(monkeypatch, self.NAMES + ("expm_grid",))
         got = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0)
         assert len(got.switch_times) == len(want.switch_times) == switches
-        assert calls == {"matrix_exponential": 0, "_psi": 0, "_expm_stack": 2}
-        assert stacked == [switches, switches + 1]
+        assert calls == {"matrix_exponential": 0, "_psi": 0, "_expm_stack": 0, "expm_grid": 1}
         assert np.max(np.abs(got.switch_times - want.switch_times)) <= 1e-12
         assert np.array_equal(got.values, want.values)
 
@@ -431,6 +429,97 @@ class TestSwitchTimeAccuracy:
         assert switches >= 10
 
 
+def flip_first_scan(monkeypatch):
+    """Make the next scan of each bang_bang_control call show a sign change
+    at every node, which a real spectrum's n - 1 zeros forbid, so that the
+    call rescans; returns the list to reset to [True] before each call."""
+    fresh, dense = [True], boundary._switching_grid
+
+    def flipped(*args):
+        psi, rows = dense(*args)
+        if fresh[0]:
+            fresh[0] = False
+            psi = psi.copy()
+            psi[1::2] *= -1.0
+        return psi, rows
+
+    monkeypatch.setattr(boundary, "_switching_grid", flipped)
+    return fresh
+
+
+class TestLevels:
+    """Every level is the sign of the directly evaluated psi at its
+    segment's midpoint, whether the call reads it off the Taylor table
+    about the nearest scan row or, on a coarse grid, a direct exponential."""
+
+    @pytest.mark.parametrize("cls, scan", [
+        (cls, scan) for cls in ("real", "oscillatory", "saddle", "stiff")
+        for scan in ("default", "rescan", "coarse")
+        # only a real spectrum bounds the zeros, so only it rescans
+        if not (cls == "oscillatory" and scan == "rescan")])
+    def test_levels_are_the_sign_of_psi_at_midpoints(self, cls, scan, monkeypatch, caplog):
+        rng = np.random.default_rng(["real", "oscillatory", "saddle", "stiff"].index(cls) + 70)
+        fresh = flip_first_scan(monkeypatch) if scan == "rescan" else [False]
+        T, segments = 1.0, 0
+        for n in (2, 3, 4):
+            for m in (1, 2):
+                sys = modal_system(TestSwitchTimeAccuracy.spectrum(cls, n, rng), rng, m=m)
+                bounds = ControlBounds(lower=-rng.uniform(0.5, 1.5, m),
+                                       upper=rng.uniform(0.5, 1.5, m))
+                for _ in range(4):
+                    c = rng.standard_normal(n)
+                    fresh[0] = scan == "rescan"
+                    caplog.clear()
+                    with caplog.at_level("WARNING", logger="reachkit.boundary"):
+                        u = bang_bang_control(sys, bounds, c, T,
+                                              scan_resolution=0.125 if scan == "coarse" else None)
+                    assert ("rescanning" in caplog.text) == (scan == "rescan")
+                    edges = np.concatenate([[0.0], u.switch_times, [T]])
+                    for k, mid in enumerate(0.5 * (edges[:-1] + edges[1:])):
+                        psi = switching_function(sys, c, T, mid)
+                        assert np.array_equal(u.values[k],
+                                              np.where(psi >= 0.0, bounds.upper, bounds.lower))
+                        segments += 1
+        # 24 calls, and some of them switch
+        assert segments > 24
+
+    def test_brackets_wider_than_one_interval_get_all_their_terms(self, monkeypatch):
+        # zero samples just past two sign changes widen their brackets to 2
+        # and 3 intervals; the one Taylor table must serve the widest
+        rng = np.random.default_rng(71)
+        sys, c = system_with_zeros([-1.5, 0.4, 2.0], [0.3, 0.7], rng)
+        want = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0)
+        dense, nodes, tables, polished = boundary._switching_grid, [], [], []
+
+        def zeroed(*args):
+            psi, rows = dense(*args)
+            nodes.append(len(psi))
+            psi = psi.copy()
+            for width, j in zip((2, 3), np.flatnonzero(np.diff(np.signbit(psi[:, 0])))):
+                psi[j + 1 : j + width, 0] = 0.0
+            return psi, rows
+
+        def table(sys, terms, fn=boundary._taylor_table):
+            tables.append(terms)
+            return fn(sys, terms)
+
+        def refine(sys, c, T, i, a, b, coefficients=None, fn=boundary._refine_zero):
+            polished.append((b - a, len(coefficients)))
+            return fn(sys, c, T, i, a, b, coefficients)
+
+        monkeypatch.setattr(boundary, "_switching_grid", zeroed)
+        monkeypatch.setattr(boundary, "_taylor_table", table)
+        monkeypatch.setattr(boundary, "_refine_zero", refine)
+        got = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0)
+        norm, h = np.linalg.norm(sys.A, 1), 1.0 / (nodes[0] - 1)
+        assert [round(width / h) for width, _ in polished] == [2, 3]
+        assert [terms for _, terms in polished] == [
+            _taylor_terms(2.0 * norm * width) for width, _ in polished]
+        assert tables == [polished[-1][1]] and tables[0] > _taylor_terms(2.0 * norm * h)
+        assert np.max(np.abs(got.switch_times - want.switch_times)) <= 1e-13
+        assert np.array_equal(got.values, want.values)
+
+
 class TestIdenticallyZeroChannel:
     @staticmethod
     def decoupled_system():
@@ -443,7 +532,7 @@ class TestIdenticallyZeroChannel:
     @pytest.mark.parametrize("scan_resolution", [None, 1e-4])
     def test_no_switches_no_warning_and_upper(self, scan_resolution, caplog):
         sys, c = self.decoupled_system()
-        psi = _switching_grid(sys, c, 1.0, 1001)
+        psi = _switching_grid(sys, c, 1.0, 1001)[0]
         assert 0.0 < np.max(np.abs(psi)) < 1e-13
         assert _channel_sign_changes(psi[:, 0])  # the roundoff signs do change
         bounds = ControlBounds(lower=[-0.5], upper=[2.0])
@@ -514,9 +603,14 @@ class TestSwitchCount:
                 assert report.sign_changes[0] <= 1
 
 
+def psi_grid(sys, c, T, num):
+    """psi on linspace(0, T, num) from expm_grid's factors, as switch_count forms it."""
+    return expm_grid(sys.A, T, 0.0, num, left=c, right=sys.B)[:, 0]
+
+
 def dense_switch_count(sys, c, T, grid_points):
     """switch_count from the whole psi grid at once: the reference."""
-    psi = _switching_grid(sys, c, T, grid_points)
+    psi = psi_grid(sys, c, T, grid_points)
     zero_scale = 1e-12 * np.linalg.norm(c) * np.linalg.norm(sys.B, 2)
     identically_zero = np.maximum(psi.max(axis=0), -psi.min(axis=0)) < zero_scale
     counts = [0 if identically_zero[i] else len(_channel_sign_changes(psi[:, i]))
@@ -561,7 +655,7 @@ class TestBlockedSwitchCount:
         # dyadic nodes, so it vanishes exactly at the nodes t = 0.5 and 0.25
         nilpotent = LtiSystem([[0.0, 1.0], [0.0, 0.0]], [[-0.5, -0.75, 0.0], [1.0, 1.0, 0.0]])
         report = self.assert_matches_dense(nilpotent, np.array([1.0, 0.0]), 1.0, 2**16 + 1)
-        psi = _switching_grid(nilpotent, np.array([1.0, 0.0]), 1.0, 2**16 + 1)
+        psi = psi_grid(nilpotent, np.array([1.0, 0.0]), 1.0, 2**16 + 1)
         assert np.count_nonzero(psi[:, :2] == 0.0) == 2
         assert report.sign_changes.tolist() == [1, 1, 0]
         assert report.identically_zero.tolist() == [False, False, True]
@@ -662,8 +756,16 @@ class TestChannelSignChanges:
 
 
 def refine_zero(sys, c, T, i, a, b):
-    """_refine_zero with its bracket-end row c^T e^{A (T - b)} formed here."""
-    return _refine_zero(sys, c, T, i, a, b, c @ matrix_exponential(sys.A, T - b))
+    """_refine_zero as bang_bang_control calls it: on the Taylor polynomial
+    about b, from the row c^T e^{A (T - b)} formed here, when the bracket is
+    within its reach, and on psi directly otherwise."""
+    reach = 2.0 * np.linalg.norm(sys.A, 1) * (b - a)
+    if reach > boundary.TAYLOR_REACH:
+        return _refine_zero(sys, c, T, i, a, b)
+    terms = _taylor_terms(reach)
+    row = c @ matrix_exponential(sys.A, T - b)
+    return _refine_zero(sys, c, T, i, a, b,
+                        (row @ _taylor_table(sys, terms)).reshape(terms, sys.m)[:, i])
 
 
 class TestRefineZero:

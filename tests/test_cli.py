@@ -1,6 +1,7 @@
 import copy
 import json
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -398,6 +399,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("reachkit: config error:")
         assert MESSAGES.get(case, "") in err
+
+    @pytest.mark.parametrize("task,raw,limit", [
+        ("boundary", edited("boundary.json", lambda c: c["task"].update(n_eta=10**12)),
+         cli.MAX_N_ETA),
+        ("lp-sample", edited("lp_sample.json", lambda c: c["task"].update(nodes=10**12)),
+         cli.MAX_NODES),
+        ("volume", edited("volume.json", lambda c: c["task"]["grid"].update(
+            directions_per_shell=10**12)), cli.MAX_DIRECTIONS_PER_SHELL),
+        ("optimize", edited("optimize_trace.json", lambda c: c["task"].update(
+            constraint=lp_volume_constraint(nodes=10**12))), cli.MAX_NODES),
+        ("optimize", edited("optimize_trace.json", lambda c: c["task"].update(
+            constraint=lp_volume_constraint(grid={"directions_per_shell": 10**12}))),
+         cli.MAX_DIRECTIONS_PER_SHELL),
+    ], ids=["n-eta", "nodes", "directions", "lp-volume-nodes", "lp-volume-directions"])
+    def test_count_above_its_limit_exits_2_without_allocating(self, tmp_path, capsys,
+                                                              task, raw, limit):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main([task, "--config", str(config), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert f"<= {limit}, got {10**12}" in capsys.readouterr().err
+        # 10**12 floats would be 8 TB; the parse holds well under a megabyte
+        assert peak < 2**20
 
     def test_zero_scalar_bound_runs(self, tmp_path):
         config = tmp_path / "config.json"

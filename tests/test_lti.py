@@ -241,18 +241,27 @@ def doubling_table_by_level(A, step, count):
     return table
 
 
+def fold_by_gemm(left, stack):
+    """left @ stack[i] for every i, as one 2-D GEMM over the entries placed side by side."""
+    side_by_side = np.hstack(list(stack))
+    return np.stack(np.hsplit(left @ side_by_side, len(stack)))
+
+
 def grid_factors_by_level(A, t0, t1, num, left=None, right=None):
-    """_grid_factors from a direct base exponential and per-level doubling tables: the reference."""
+    """_grid_factors from a direct base exponential and per-level doubling
+    tables, each operand folded in by one GEMM: the reference."""
     start, end = (t0, t1) if num == 1 or abs(t0) <= abs(t1) else (t1, t0)
     step = (end - start) / (num - 1) if num > 1 else 0.0
     width = 1 << math.ceil(math.log2(num) / 2)
     count = -(-num // width)
     powers = doubling_table_by_level(A, step, width)
-    anchors = matrix_exponential(A, start) @ doubling_table_by_level(A, width * step, count)
+    anchors = fold_by_gemm(matrix_exponential(A, start),
+                           doubling_table_by_level(A, width * step, count))
     if left is not None:
-        anchors = np.atleast_2d(left) @ anchors
+        anchors = fold_by_gemm(np.atleast_2d(left), anchors)
     if right is not None:
-        powers = powers @ (right[:, None] if right.ndim == 1 else right)
+        right = right[:, None] if right.ndim == 1 else right
+        powers = (np.vstack(list(powers)) @ right).reshape(width, len(A), -1)
     return anchors, powers
 
 
