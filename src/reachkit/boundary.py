@@ -15,6 +15,7 @@ from .geometry import Polytope, convex_hull
 from .lti import (
     LtiSystem,
     PiecewiseConstantControl,
+    _count,
     _expm_stack,
     _grid_block,
     _grid_factors,
@@ -37,12 +38,12 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # bang_bang_control's bracket grid: intervals per unit of ||A||_1 T plus
-# T max|Im lambda| / pi, clamped to [64, 2^16], and the refinement used when
-# a real spectrum shows more sign changes than its n - 1 zeros allow
+# T max|Im lambda| / pi, clamped to [64, 2^16], and the most intervals an
+# explicit scan_resolution may ask for (2^20 + 1 rows of n floats)
 GRID_INTERVALS_PER_UNIT = 32
 MIN_GRID_INTERVALS = 64
 MAX_GRID_INTERVALS = 2**16
-RESCAN_FACTOR = 16
+MAX_SCAN_INTERVALS = 2**20
 # nodes of psi that switch_count forms at a time (64 anchor rows at 1e6
 # nodes): the most a formed block holds; rows of certain sign are not formed
 BLOCK_NODES = 2**16
@@ -71,7 +72,7 @@ class ControlBounds:
     @classmethod
     def symmetric(cls, magnitude: float, m: int = 1) -> "ControlBounds":
         # a negative magnitude gives lower > upper, which __post_init__ rejects
-        mag = float(magnitude)
+        mag, m = float(magnitude), _count(m, "m")
         return cls(lower=-mag * np.ones(m), upper=mag * np.ones(m))
 
     @property
@@ -180,23 +181,16 @@ def _brent(f, pre: float, cur: float, f_pre: float, f_cur: float) -> float:
     raise RuntimeError(f"no convergence to the zero between {pre!r} and {cur!r}")
 
 
-def _taylor_terms(reach: float) -> int:
-    """The number K + 1 of Taylor terms of e^{A s} kept where ||A||_1 |s| is
-    at most reach: the least with reach^(K+1) / (K+1)! < 1e-18."""
-    terms, bound = 1, reach
+def _taylor_table(sys: LtiSystem, reach: float) -> np.ndarray:
+    """A^k B / k! for k = 0..K side by side, shape (n, (K + 1) m), with K + 1
+    the fewest terms whose remainder bound reach^(K+1) / (K+1)! is below
+    1e-18: for a row r = c^T e^{A (T - t_0)}, (r @ table).reshape(-1, m)
+    holds psi's Taylor coefficients in s = t_0 - t, exact to roundoff where
+    ||A||_1 |s| <= reach."""
+    blocks, bound = [sys.B], reach
     while bound >= 1e-18:
-        terms += 1
-        bound *= reach / terms
-    return terms
-
-
-def _taylor_table(sys: LtiSystem, terms: int) -> np.ndarray:
-    """A^k B / k! for k = 0..terms-1 side by side, shape (n, terms * m): for
-    a row r = c^T e^{A (T - t_0)}, (r @ table).reshape(terms, m) holds psi's
-    Taylor coefficients in s = t_0 - t."""
-    blocks = [sys.B]
-    for k in range(1, terms):
-        blocks.append(sys.A @ blocks[-1] / k)
+        blocks.append(sys.A @ blocks[-1] / len(blocks))
+        bound *= reach / len(blocks)
     return np.hstack(blocks)
 
 
@@ -205,14 +199,13 @@ def _refine_zero(sys, c, T, i, a, b, coefficients=None):
 
     coefficients, when given, are psi_i's Taylor coefficients about b,
     r A^k b_i / k! for k = 0..K with r = c^T e^{A (T - b)}, and psi_i is
-    evaluated as that polynomial in b - t. The caller gives them when
-    reach = 2 ||A||_1 (b - a) is at most TAYLOR_REACH, with
-    K + 1 >= _taylor_terms(reach), so that the polynomial is exact to
-    roundoff for |b - t| <= 2 (b - a), which holds every point evaluated
-    below; without them psi_i is evaluated directly. A bracket whose
-    endpoints do not differ in sign holds a zero on a grid node and is
-    widened by one step beyond it; one that still shows no sign change
-    gives its midpoint.
+    evaluated as that polynomial in b - t. The caller takes them from a
+    _taylor_table whose reach is at least 2 ||A||_1 (b - a), so that the
+    polynomial is exact to roundoff for |b - t| <= 2 (b - a), which holds
+    every point evaluated below; without them psi_i is evaluated directly.
+    A bracket whose endpoints do not differ in sign holds a zero on a grid
+    node and is widened by one step beyond it; one that still shows no sign
+    change gives its midpoint.
     """
     if coefficients is not None:
         # Horner's rule from the top coefficient; the expansion point is this b,
@@ -266,16 +259,6 @@ def _zero_scale(sys: LtiSystem, c: np.ndarray) -> float:
     return 1e-12 * math.sqrt(c @ c) * math.sqrt(largest)
 
 
-def _grid_brackets(sys: LtiSystem, c: np.ndarray, T: float, intervals: int, zero_scale: float):
-    """The scan on linspace(0, T, intervals + 1): its rows of _switching_grid,
-    per channel the node pairs (j, k) of psi's sign changes, and which
-    channels are identically zero there; those channels get no brackets,
-    since their signs are roundoff."""
-    psi, rows = _switching_grid(sys, c, T, intervals + 1)
-    zero = np.max(np.abs(psi), axis=0) < zero_scale
-    return rows, [[] if zero[i] else _channel_sign_changes(psi[:, i]) for i in range(sys.m)], zero
-
-
 def bang_bang_control(
     sys: LtiSystem, bounds: ControlBounds, c, T: float, scan_resolution: float | None = None
 ) -> PiecewiseConstantControl:
@@ -284,28 +267,26 @@ def bang_bang_control(
     Channel i takes upper[i] where psi_i(t; c) >= 0 and lower[i] elsewhere.
     Sign changes are bracketed on a uniform grid over [0, T] and refined by
     Brent's method (_brent), so the returned breakpoints are accurate to
-    root-finding precision. The scan keeps the rows
-    r_k = c^T e^{A (T - t_k)} of its nodes, and near a node psi is the
-    Taylor polynomial sum_j (r_k A^j B / j!) (t_k - t)^j, from one table of
-    A^j B / j! per call, kept to the term below 1e-18 where
-    ||A||_1 |t_k - t| <= TAYLOR_REACH. A bracket (a, b) with
-    2 ||A||_1 (b - a) within that reach is refined on the polynomial about
-    b (see _refine_zero), and each level is the sign of psi at its
-    segment's midpoint, on the polynomial about the nearest node, so on a
-    default grid the scan is the call's one exponential. A wider bracket
-    evaluates psi directly, and a grid of intervals h with ||A||_1 h / 2
-    beyond the reach takes the levels from one stacked exponential at the
-    midpoints.
-    By default the grid has 32 intervals per unit of
-    ||A||_1 T + T max|Im lambda| / pi (between 64 and 2^16), which resolves
-    the fastest rate and every half period of oscillation; an explicit
-    scan_resolution in (0, 1] gives intervals of scan_resolution * T
-    instead. On the default grid a real spectrum is checked against the
-    n-intervals bound (Feldbaum): psi_i then has at most n - 1 zeros, and a
-    channel with more sign changes is logged and rescanned on a 16x finer
-    grid. A channel whose peak |psi| on the grid is below
-    1e-12 * ||c|| * ||B|| is identically zero, as in switch_count: it has no
-    switches and holds upper[i].
+    root-finding precision. By default the grid has 32 intervals per unit
+    of ||A||_1 T + T max|Im lambda| / pi (between 64 and 2^16), which
+    resolves the fastest rate and every half period of oscillation; an
+    explicit scan_resolution in (0, 1] gives intervals of
+    scan_resolution * T instead, at most 2^20 of them. The grid is scanned
+    once: sampling cannot add sign changes, so on a real spectrum the scan
+    shows at most the n - 1 zeros Feldbaum's theorem allows. A channel
+    whose peak |psi| on the grid is below 1e-12 * ||c|| * ||B|| is
+    identically zero, as in switch_count: it has no switches and holds
+    upper[i].
+    The call chooses how to evaluate psi once. With h the grid interval,
+    reach = max(||A||_1 h / 2, 2 ||A||_1 (b - a) over every bracket (a, b)).
+    If reach <= TAYLOR_REACH, psi near a scan node t_k is the Taylor
+    polynomial sum_j (r_k A^j B / j!) (t_k - t)^j, from the scan's row
+    r_k = c^T e^{A (T - t_k)} and one _taylor_table of that reach: each
+    bracket is refined on the polynomial about b (see _refine_zero), and
+    each level is the sign of psi at its segment's midpoint on the
+    polynomial about the nearest node, so the scan is the call's one
+    exponential. Otherwise the refinement evaluates psi directly and the
+    levels come from one stacked exponential at the midpoints.
     """
     if not 0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got T={T}")
@@ -313,48 +294,34 @@ def bang_bang_control(
     if bounds.m != sys.m:
         raise DimensionError(f"bounds have {bounds.m} channels, system has {sys.m}")
     norm = float(np.abs(sys.A).sum(axis=0).max())
-    zero_scale = _zero_scale(sys, c)
     if scan_resolution is not None:
         if not 0.0 < scan_resolution <= 1.0:
             raise ValueError(f"scan_resolution must lie in (0, 1], got {scan_resolution}")
         intervals = int(round(1.0 / scan_resolution))
-        rows, brackets, zero = _grid_brackets(sys, c, T, intervals, zero_scale)
+        if intervals > MAX_SCAN_INTERVALS:
+            raise ValueError(f"scan_resolution {scan_resolution} asks for {intervals} "
+                             f"intervals, above the limit of {MAX_SCAN_INTERVALS}")
     else:
-        eigenvalues = np.linalg.eigvals(sys.A)
-        scale = norm * T + T * np.max(np.abs(eigenvalues.imag)) / np.pi
+        scale = norm * T + T * np.max(np.abs(np.linalg.eigvals(sys.A).imag)) / np.pi
         intervals = min(MAX_GRID_INTERVALS,
                         max(MIN_GRID_INTERVALS, math.ceil(GRID_INTERVALS_PER_UNIT * scale)))
-        rows, brackets, zero = _grid_brackets(sys, c, T, intervals, zero_scale)
-        most = max(len(pairs) for pairs in brackets)
-        if most > sys.n - 1 and np.all(np.isreal(eigenvalues)):
-            logger.warning(
-                "%d sign changes of psi on %d intervals, above the n - 1 = %d zeros of a "
-                "real spectrum; rescanning on %d intervals", most, intervals, sys.n - 1,
-                RESCAN_FACTOR * intervals,
-            )
-            intervals *= RESCAN_FACTOR
-            rows, brackets, zero = _grid_brackets(sys, c, T, intervals, zero_scale)
+    psi, rows = _switching_grid(sys, c, T, intervals + 1)
+    # channels whose signs on the grid are roundoff get no brackets
+    zero = np.max(np.abs(psi), axis=0) < _zero_scale(sys, c)
 
     # the times of the grid, without forming the whole grid
     h = T / intervals
     node = lambda j: T if j == intervals else j * h
-    pairs = [(i, node(j), node(k), k) for i, channel in enumerate(brackets) for j, k in channel]
-    # psi about node t_k is sum_j (r_k A^j B / j!) (t_k - t)^j, which one
-    # table of A^j B / j! serves wherever ||A||_1 |t_k - t| <= TAYLOR_REACH:
-    # a level is evaluated within h / 2 of its nearest node, and a polished
-    # bracket (a, b) within 2 (b - a) of b, so no bracket is polished on a
-    # grid too coarse for the levels
-    level_reach = 0.5 * norm * h
-    reach = [2.0 * norm * (b - a) for _, a, b, _ in pairs]
-    table = None
-    if level_reach <= TAYLOR_REACH:
-        widest = max([level_reach] + [x for x in reach if x <= TAYLOR_REACH])
-        table = _taylor_table(sys, _taylor_terms(widest))
+    pairs = [(i, node(j), node(k), k) for i in range(sys.m) if not zero[i]
+             for j, k in _channel_sign_changes(psi[:, i])]
+    # a level is evaluated within h / 2 of its nearest node, and a bracket
+    # (a, b) is polished within 2 (b - a) of b, so one table of this reach
+    # serves them all
+    reach = max([0.5 * norm * h] + [2.0 * norm * (b - a) for _, a, b, _ in pairs])
+    table = _taylor_table(sys, reach) if reach <= TAYLOR_REACH else None
     switch_times = []
-    for (i, a, b, k), x in zip(pairs, reach):
-        taylor = None
-        if x <= TAYLOR_REACH:
-            taylor = (rows[k] @ table).reshape(-1, sys.m)[: _taylor_terms(x), i]
+    for i, a, b, k in pairs:
+        taylor = None if table is None else (rows[k] @ table).reshape(-1, sys.m)[:, i]
         switch_times.append(_refine_zero(sys, c, T, i, a, b, taylor))
     switch_times = np.array(sorted(switch_times))
     if len(switch_times) > 1:
@@ -472,8 +439,7 @@ def boundary_curve(
         )
     if bounds.m != 1:
         raise DimensionError("bounds must be scalar for a single-input system")
-    if n_eta < 2:
-        raise ValueError("n_eta must be >= 2")
+    n_eta = _count(n_eta, "n_eta", low=2)
     if not 0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got T={T}")
 

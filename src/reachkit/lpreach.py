@@ -8,7 +8,6 @@ budget. A Holder-type bound on ||lambda0||_q^q gives a cheap sufficient
 filter for endpoints guaranteed to be reachable.
 """
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,7 +16,7 @@ import numpy as np
 from .csvout import csv_text
 from .errors import DimensionError
 from .geometry import Polytope, convex_hull
-from .lti import LtiSystem, expm_grid, matrix_exponential
+from .lti import LtiSystem, _count, expm_grid, matrix_exponential
 
 __all__ = [
     "LpSpec",
@@ -130,6 +129,7 @@ def lp_optimal_control(
         raise DimensionError(f"lambda0 must have shape ({sys.n},), got {lambda0.shape}")
     if not np.all(np.isfinite(lambda0)):
         raise ValueError("lambda0 entries must be finite")
+    num_points = _count(num_points, "num_points")
     times = np.linspace(0.0, spec.T, num_points)
     z = expm_grid(-sys.A.T, 0.0, spec.T, num_points, left=-sys.B.T, right=lambda0)[:, :, 0]
     return LpOptimalControl(
@@ -321,19 +321,14 @@ def costate_grid(n: int, magnitudes, directions_per_shell: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"costate_grid needs n >= 1 states, got n={n}")
+    n = _count(n, "n")
     magnitudes = np.atleast_1d(np.asarray(magnitudes, dtype=float))
     if magnitudes.ndim != 1:
         raise ValueError(f"magnitudes must be a scalar or 1-D, got shape {magnitudes.shape}")
     if not (magnitudes.size and np.all((magnitudes > 0) & (magnitudes < np.inf))
             and np.all(np.diff(magnitudes) >= 0)):
         raise ValueError("magnitudes must be nonempty, positive, finite and ascending")
-    try:
-        directions_per_shell = operator.index(directions_per_shell)
-    except TypeError:
-        raise TypeError("directions_per_shell must be an integer, "
-                        f"got {directions_per_shell!r}") from None
-    if directions_per_shell < 1:
-        raise ValueError("directions_per_shell must be >= 1")
+    directions_per_shell = _count(directions_per_shell, "directions_per_shell")
     shell = np.vstack([np.eye(n), -np.eye(n), _sphere_directions(n, directions_per_shell)])
     points = (magnitudes[:, None, None] * shell).reshape(-1, n)
     # rows compare as raw bytes, so -0.0 and 0.0 stay distinct

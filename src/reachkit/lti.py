@@ -118,6 +118,18 @@ def _square_finite(A) -> np.ndarray:
     return A
 
 
+def _count(value, name: str, low: int = 1) -> int:
+    """value as an int, for a count that must be an integer >= low; a float,
+    even a whole one, is rejected with an error that names the count."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def matrix_exponential(A, t: float) -> np.ndarray:
     """e^{A t} by scaling-and-squaring with Pade approximants.
 
@@ -365,12 +377,7 @@ def _grid_factors(A, t0: float, t1: float, num: int, left=None, right=None):
     the powers, each as one GEMM over the whole table.
     """
     A = _square_finite(A)
-    try:
-        num = operator.index(num)
-    except TypeError:
-        raise TypeError(f"the node count must be an integer, got {num!r}") from None
-    if num < 1:
-        raise ValueError("num must be >= 1")
+    num = _count(num, "the node count")
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("t0 and t1 must be finite")
     start, end = (t0, t1) if num == 1 or abs(t0) <= abs(t1) else (t1, t0)
@@ -455,8 +462,7 @@ def simulate(sys: LtiSystem, u, T: float, steps: int) -> Trajectory:
     """
     if not 0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got T={T}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _count(steps, "steps")
     grid = np.linspace(0.0, T, steps + 1)
     switch_times = getattr(u, "switch_times", None)
     piecewise = switch_times is not None

@@ -20,7 +20,7 @@ from reachkit import (
 )
 from reachkit import boundary
 from reachkit.boundary import (_brent, _channel_sign_changes, _refine_zero, _switching_grid,
-                               _taylor_table, _taylor_terms)
+                               _taylor_table)
 from reachkit.errors import DimensionError, UnsupportedConfigurationError
 from reachkit.lti import expm_grid
 
@@ -48,6 +48,12 @@ class TestControlBounds:
     def test_symmetric_rejects_negative_magnitude(self):
         with pytest.raises(ValueError):
             ControlBounds.symmetric(-1.0)
+
+    def test_symmetric_rejects_a_fractional_channel_count(self):
+        # 1.5 used to fail inside numpy with a message naming no parameter
+        with pytest.raises(TypeError, match="m must be an integer, got 1.5"):
+            ControlBounds.symmetric(1.0, m=1.5)
+        assert ControlBounds.symmetric(1.0, m=np.int64(2)).m == 2
 
     @pytest.mark.parametrize("lower,upper", [([[-1.0]], [[1.0]]), ([-1.0], [[1.0]])],
                              ids=["both", "upper"])
@@ -215,13 +221,18 @@ def scan_class_system(cls, rng):
     return modal_system(D, rng)
 
 
-def system_with_zeros(lam, zeros, rng, T=1.0):
+def system_with_zeros(lam, zeros, rng, T=1.0, multiplicities=None):
     """Single-input system with real spectrum lam and a costate c whose psi
-    vanishes exactly at t = zeros (len(lam) - 1 of them, the most a real
-    spectrum allows)."""
+    vanishes exactly at t = zeros, each of the given multiplicity (1 by
+    default); the multiplicities sum to len(lam) - 1, the most a real
+    spectrum allows."""
     lam = np.asarray(lam, dtype=float)
-    # psi(T - s) = sum_k a_k e^{lam_k s}; a spans the null space at the zeros
-    a = np.linalg.svd(np.exp(np.multiply.outer(T - np.asarray(zeros), lam)))[2][-1]
+    multiplicities = multiplicities or [1] * len(zeros)
+    # psi(T - s) = sum_k a_k e^{lam_k s}, whose j-th derivative in s is
+    # sum_k a_k lam_k^j e^{lam_k s}; a spans the null space at the zeros
+    rows = [lam**j * np.exp(lam * (T - z))
+            for z, mu in zip(zeros, multiplicities) for j in range(mu)]
+    a = np.linalg.svd(np.array(rows))[2][-1]
     V = random_basis(len(lam), rng)
     B = rng.standard_normal(len(lam))
     c = np.linalg.solve(V.T, a / np.linalg.solve(V, B))
@@ -270,30 +281,56 @@ class TestSpectralBracketGrid:
             for _ in range(3):
                 assert_matches_fine_scan(sys, bounds, rng.standard_normal(3))
 
-    def test_count_above_bound_rescans(self, monkeypatch, caplog):
-        # a bracket grid whose samples roundoff flipped: two spurious sign
-        # changes on a planar real spectrum, which allows one
-        sys, c = demo_system(), np.array([-1.0, 2.0])
-        dense = _switching_grid
-        calls = []
+    @pytest.mark.parametrize("multiplicities", [(2,), (3,), (2, 1), (3, 1), (2, 2)])
+    def test_multiple_zeros_on_nodes_stay_within_the_bound(self, multiplicities, monkeypatch):
+        # why one scan suffices: sampling cannot add sign changes, and
+        # roundoff on a node at a zero of multiplicity mu adds at most mu of
+        # them, so a real spectrum's scan shows at most its n - 1 zeros
+        n = sum(multiplicities) + 1
+        scans, dense = [], _switching_grid
+        monkeypatch.setattr(boundary, "_switching_grid",
+                            lambda *args: scans.append(dense(*args)) or scans[-1])
+        for seed in range(40):
+            rng = np.random.default_rng([n, len(multiplicities), seed])
+            lam = np.sort(rng.uniform(-3.0, 3.0, n))
+            # A depends only on lam and the basis drawn first from this
+            # stream, so a call with placeholder zeros sizes the default grid
+            basis = lambda: np.random.default_rng([n, len(multiplicities), seed, 1])
+            sys, c = system_with_zeros(lam, np.linspace(0.2, 0.8, n - 1), basis())
+            bang_bang_control(sys, UNIT_BOUNDS, c, 1.0)
+            intervals = len(scans[-1][0]) - 1
+            nodes = np.sort(rng.choice(np.arange(1, intervals), len(multiplicities), replace=False))
+            sys, c = system_with_zeros(lam, nodes / intervals, basis(),
+                                       multiplicities=list(multiplicities))
+            bang_bang_control(sys, UNIT_BOUNDS, c, 1.0)
+            psi = scans[-1][0][:, 0]
+            assert len(psi) == intervals + 1
+            # each zero lies on its node: |psi| there is well below its neighbours'
+            assert np.all(np.abs(psi[nodes]) <= 0.1 * np.minimum(np.abs(psi[nodes - 1]),
+                                                                 np.abs(psi[nodes + 1])))
+            assert len(_channel_sign_changes(psi)) <= n - 1
 
-        def flipped(*args):
-            psi, rows = dense(*args)
-            calls.append(len(psi))
-            if len(calls) == 1:
-                psi = psi.copy()
-                psi[len(psi) // 4] *= -1.0
-            return psi, rows
-
-        monkeypatch.setattr(boundary, "_switching_grid", flipped)
-        with caplog.at_level("WARNING", logger="reachkit.boundary"):
-            got = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0)
-        assert "above the n - 1 = 1 zeros" in caplog.text
-        assert calls == [calls[0], 16 * (calls[0] - 1) + 1]
-        monkeypatch.undo()
-        want = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0, scan_resolution=1e-6)
-        assert len(got.switch_times) == len(want.switch_times) == 1
-        assert abs(got.switch_times[0] - want.switch_times[0]) <= 1e-12
+    def test_capped_default_grid_evaluates_psi_directly(self, monkeypatch):
+        # ||A||_1 T ~ 1.2e5 asks for more than 2^16 intervals, so the default
+        # grid stops at the cap, where h ||A||_1 / 2 is beyond the Taylor reach
+        V = np.array([[1.0, 0.4], [0.3, -1.1]])
+        sys = LtiSystem(V @ np.diag([-1e5, -1.0]) @ np.linalg.inv(V), [[1.0], [0.5]])
+        c, T = np.array([1.0, -0.3]), 1.0
+        nodes, dense = [], _switching_grid
+        monkeypatch.setattr(boundary, "_switching_grid",
+                            lambda *args: nodes.append(args[3]) or dense(*args))
+        calls = count_calls(monkeypatch, ["_taylor_table"])
+        u = bang_bang_control(sys, UNIT_BOUNDS, c, T)
+        assert nodes == [boundary.MAX_GRID_INTERVALS + 1]
+        assert calls == {"_taylor_table": 0}
+        assert len(u.switch_times) >= 1
+        for ts in u.switch_times:
+            before, after = (switching_function(sys, c, T, ts + d)[0] for d in (-1e-9, 1e-9))
+            assert before * after < 0.0
+        edges = np.concatenate([[0.0], u.switch_times, [T]])
+        for k, mid in enumerate(0.5 * (edges[:-1] + edges[1:])):
+            psi = switching_function(sys, c, T, mid)
+            assert np.array_equal(u.values[k], np.where(psi >= 0.0, 1.0, -1.0))
 
     def test_grid_is_sized_from_the_spectrum(self, monkeypatch):
         nodes = []
@@ -429,24 +466,6 @@ class TestSwitchTimeAccuracy:
         assert switches >= 10
 
 
-def flip_first_scan(monkeypatch):
-    """Make the next scan of each bang_bang_control call show a sign change
-    at every node, which a real spectrum's n - 1 zeros forbid, so that the
-    call rescans; returns the list to reset to [True] before each call."""
-    fresh, dense = [True], boundary._switching_grid
-
-    def flipped(*args):
-        psi, rows = dense(*args)
-        if fresh[0]:
-            fresh[0] = False
-            psi = psi.copy()
-            psi[1::2] *= -1.0
-        return psi, rows
-
-    monkeypatch.setattr(boundary, "_switching_grid", flipped)
-    return fresh
-
-
 class TestLevels:
     """Every level is the sign of the directly evaluated psi at its
     segment's midpoint, whether the call reads it off the Taylor table
@@ -454,12 +473,9 @@ class TestLevels:
 
     @pytest.mark.parametrize("cls, scan", [
         (cls, scan) for cls in ("real", "oscillatory", "saddle", "stiff")
-        for scan in ("default", "rescan", "coarse")
-        # only a real spectrum bounds the zeros, so only it rescans
-        if not (cls == "oscillatory" and scan == "rescan")])
-    def test_levels_are_the_sign_of_psi_at_midpoints(self, cls, scan, monkeypatch, caplog):
+        for scan in ("default", "coarse")])
+    def test_levels_are_the_sign_of_psi_at_midpoints(self, cls, scan):
         rng = np.random.default_rng(["real", "oscillatory", "saddle", "stiff"].index(cls) + 70)
-        fresh = flip_first_scan(monkeypatch) if scan == "rescan" else [False]
         T, segments = 1.0, 0
         for n in (2, 3, 4):
             for m in (1, 2):
@@ -468,12 +484,8 @@ class TestLevels:
                                        upper=rng.uniform(0.5, 1.5, m))
                 for _ in range(4):
                     c = rng.standard_normal(n)
-                    fresh[0] = scan == "rescan"
-                    caplog.clear()
-                    with caplog.at_level("WARNING", logger="reachkit.boundary"):
-                        u = bang_bang_control(sys, bounds, c, T,
-                                              scan_resolution=0.125 if scan == "coarse" else None)
-                    assert ("rescanning" in caplog.text) == (scan == "rescan")
+                    u = bang_bang_control(sys, bounds, c, T,
+                                          scan_resolution=0.125 if scan == "coarse" else None)
                     edges = np.concatenate([[0.0], u.switch_times, [T]])
                     for k, mid in enumerate(0.5 * (edges[:-1] + edges[1:])):
                         psi = switching_function(sys, c, T, mid)
@@ -485,7 +497,8 @@ class TestLevels:
 
     def test_brackets_wider_than_one_interval_get_all_their_terms(self, monkeypatch):
         # zero samples just past two sign changes widen their brackets to 2
-        # and 3 intervals; the one Taylor table must serve the widest
+        # and 3 intervals; the call's one Taylor table must reach the widest,
+        # and both brackets are polished on all of its terms
         rng = np.random.default_rng(71)
         sys, c = system_with_zeros([-1.5, 0.4, 2.0], [0.3, 0.7], rng)
         want = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0)
@@ -499,9 +512,9 @@ class TestLevels:
                 psi[j + 1 : j + width, 0] = 0.0
             return psi, rows
 
-        def table(sys, terms, fn=boundary._taylor_table):
-            tables.append(terms)
-            return fn(sys, terms)
+        def table(sys, reach, fn=boundary._taylor_table):
+            tables.append((reach, fn(sys, reach).shape[1]))
+            return fn(sys, reach)
 
         def refine(sys, c, T, i, a, b, coefficients=None, fn=boundary._refine_zero):
             polished.append((b - a, len(coefficients)))
@@ -513,9 +526,10 @@ class TestLevels:
         got = bang_bang_control(sys, UNIT_BOUNDS, c, 1.0)
         norm, h = np.linalg.norm(sys.A, 1), 1.0 / (nodes[0] - 1)
         assert [round(width / h) for width, _ in polished] == [2, 3]
-        assert [terms for _, terms in polished] == [
-            _taylor_terms(2.0 * norm * width) for width, _ in polished]
-        assert tables == [polished[-1][1]] and tables[0] > _taylor_terms(2.0 * norm * h)
+        [(reach, terms)] = tables
+        assert reach == pytest.approx(2.0 * norm * polished[-1][0], rel=1e-15)
+        assert [count for _, count in polished] == [terms, terms]
+        assert terms > _taylor_table(sys, 2.0 * norm * h).shape[1]
         assert np.max(np.abs(got.switch_times - want.switch_times)) <= 1e-13
         assert np.array_equal(got.values, want.values)
 
@@ -762,10 +776,9 @@ def refine_zero(sys, c, T, i, a, b):
     reach = 2.0 * np.linalg.norm(sys.A, 1) * (b - a)
     if reach > boundary.TAYLOR_REACH:
         return _refine_zero(sys, c, T, i, a, b)
-    terms = _taylor_terms(reach)
     row = c @ matrix_exponential(sys.A, T - b)
     return _refine_zero(sys, c, T, i, a, b,
-                        (row @ _taylor_table(sys, terms)).reshape(terms, sys.m)[:, i])
+                        (row @ _taylor_table(sys, reach)).reshape(-1, sys.m)[:, i])
 
 
 class TestRefineZero:
@@ -796,6 +809,18 @@ class TestRefineZero:
 
 
 class TestScanMemory:
+    def test_scan_resolution_above_the_limit_allocates_nothing(self):
+        # 1e-9 would ask for 1e9 + 1 scan rows, over 16 GB at n = 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"above the limit of {2**20}"):
+                bang_bang_control(demo_system(), UNIT_BOUNDS, [1.0, -1.0], 1.0,
+                                  scan_resolution=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_switch_scan_never_forms_the_dense_grid(self):
         sys, num = demo_system(), 1_000_001
         tracemalloc.start()
@@ -863,6 +888,11 @@ class TestBoundaryCurve:
     def test_three_states_not_exact(self):
         sys = random_stable_system(np.random.default_rng(5), 3, 1)
         assert not boundary_curve(sys, UNIT_BOUNDS, 1.0, n_eta=11).exact
+
+    def test_fractional_sample_count_rejected(self):
+        with pytest.raises(TypeError, match="n_eta must be an integer, got 100.5"):
+            boundary_curve(demo_system(), UNIT_BOUNDS, 1.0, n_eta=100.5)
+        assert boundary_curve(demo_system(), UNIT_BOUNDS, 1.0, n_eta=np.int64(11)).etas.size == 11
 
     def test_multi_input_rejected(self):
         sys = LtiSystem(np.zeros((2, 2)), np.eye(2))

@@ -91,6 +91,12 @@ class TestLpOptimalControl:
         control = lp_optimal_control(sys, [-1.0], LpSpec(p=2, T=1.0))
         assert np.allclose(control.values, 1.0, atol=1e-14)
 
+    def test_fractional_node_count_rejected(self):
+        with pytest.raises(TypeError, match="num_points must be an integer, got 5.0"):
+            lp_optimal_control(demo_system(), [1.0, 0.0], SPEC6, num_points=5.0)
+        assert lp_optimal_control(demo_system(), [1.0, 0.0], SPEC6,
+                                  num_points=np.int64(5)).times.size == 5
+
     def test_grid_matches_closed_form(self):
         sys = demo_system()
         control = lp_optimal_control(sys, [3.0, -2.0], SPEC6, num_points=101)
@@ -170,6 +176,11 @@ class TestCostateGrid:
         with pytest.raises(TypeError, match="directions_per_shell must be an integer, got 4.5"):
             costate_grid(n, [1.0], 4.5)
         assert costate_grid(n, [1.0], np.int64(4)).tobytes() == costate_grid(n, [1.0], 4).tobytes()
+
+    def test_fractional_state_count_rejected(self):
+        with pytest.raises(TypeError, match="n must be an integer, got 2.5"):
+            costate_grid(2.5, [1.0], 4)
+        assert costate_grid(np.int64(2), [1.0], 4).tobytes() == costate_grid(2, [1.0], 4).tobytes()
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_state_count_below_one_rejected(self, n):

@@ -501,6 +501,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             simulate(demo_system(), lambda t: np.array([1.0]), T, 10)
 
+    def test_rejects_a_fractional_step_count(self):
+        u = lambda t: np.array([1.0])
+        with pytest.raises(TypeError, match="steps must be an integer, got 10.5"):
+            simulate(demo_system(), u, 1.0, 10.5)
+        assert len(simulate(demo_system(), u, 1.0, np.int64(10)).times) == 11
+
     def test_rk4_fourth_order(self):
         sys = demo_system()
         control = lambda t: np.array([np.sin(3.0 * t)])
