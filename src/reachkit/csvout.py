@@ -2,12 +2,16 @@
 for payload dicts.
 
 Both write every float as its repr, so the text is exactly what the
-standard csv and json modules would write, only faster: csv_text joins
-the rows of an array, and json_text renders a payload in one template
-pass instead of the pure-Python encoder that json.dumps falls back to
-when it indents.
+standard csv and json modules would write, only faster. Each renderer
+formats all of its floats in one orjson call, whose Ryu algorithm finds
+the same shortest round-trip digits as float.__repr__, and _repr_spelling
+then respells the few numbers whose notation differs. csv_text lets orjson
+write its rows whole, and json_text renders a payload in one template pass
+instead of the pure-Python encoder that json.dumps falls back to when it
+indents.
 """
 
+import re
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -19,6 +23,38 @@ __all__ = ["csv_text", "json_text"]
 # json.dumps's names for the floats whose repr is not JSON
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# Where orjson's spelling of a finite float differs from repr's, in a blob
+# whose every number follows a "," and precedes a "," or "]": a positive
+# exponent lacks its "+" (1e16), a one-digit negative exponent its leading
+# 0 (1e-7), and 1e-5 <= |x| < 1e-4 is written positionally (0.00001234).
+# Each replacement is literal text, because CPython 3.11 expands a template
+# with a backreference in Python for each match, and each band pattern
+# starts with a literal prefix, which the regex engine scans for directly.
+_EXPONENT_SIGN = re.compile(rb"e(?=[0-9])")
+_EXPONENT_DIGIT = re.compile(rb"e-(?=[0-9][,\]])")
+_BANDS = [re.compile(rb"(,)0\.0000([1-9][0-9]*)"), re.compile(rb"(,-)0\.0000([1-9][0-9]*)")]
+
+
+def _band_repr(match) -> bytes:
+    """A band number as repr writes it: ,0.00001234 -> ,1.234e-05."""
+    lead, digits = match.group(1, 2)
+    point = b"." if len(digits) > 1 else b""
+    return lead + digits[:1] + point + digits[1:] + b"e-05"
+
+
+def _repr_spelling(blob: bytes) -> bytes:
+    """blob with each number spelled as float.__repr__ spells it.
+
+    Every number in blob follows a "," and precedes a "," or "]", and the
+    only other words there have no digit (true, false, null, nan, inf).
+    Text already spelled as repr spells it passes through unchanged.
+    """
+    blob = _EXPONENT_SIGN.sub(b"e+", blob)
+    blob = _EXPONENT_DIGIT.sub(b"e-0", blob)
+    for band in _BANDS:
+        blob = band.sub(_band_repr, blob)
+    return blob
+
 
 def csv_text(header, values: np.ndarray, flags=None) -> str:
     """Header, then one row per row of values (floats as repr) followed by
@@ -27,11 +63,21 @@ def csv_text(header, values: np.ndarray, flags=None) -> str:
     The text equals csv.writer's in its default dialect: no such field
     needs quoting, and every line ends in \\r\\n.
     """
-    rows = [",".join(map(repr, row)) for row in values.tolist()]
+    import orjson  # imported on first use, so that importing reachkit skips it
+
+    rows = values.tolist()
+    # orjson writes nan and +-inf as null, and their reprs as quoted strings
+    for i, j in zip(*np.nonzero(~np.isfinite(values))):
+        rows[i][j] = repr(rows[i][j])
     if flags is not None:
-        marks = np.where(flags, "true", "false").tolist()
-        rows = [",".join([row, *mark]) for row, mark in zip(rows, marks)]
-    return "".join(line + "\r\n" for line in [",".join(header), *rows])
+        rows = [row + mark for row, mark in zip(rows, np.asarray(flags, dtype=bool).tolist())]
+    head = ",".join(header) + "\r\n"
+    if not rows:
+        return head
+    # [[a,"nan",true],[c,d,false]] -> ,,a,nan,true],,c,d,false]] -> a,nan,true\r\nc,d,false
+    blob = orjson.dumps(rows).replace(b'"', b"").replace(b"[", b",")
+    body = _repr_spelling(blob).replace(b"],,", b"\r\n")[2:-2]
+    return head + body.decode() + "\r\n"
 
 
 def json_text(obj) -> str:
@@ -39,20 +85,29 @@ def json_text(obj) -> str:
 
     obj is JSON-native: dicts with str keys, lists and tuples, str, int,
     float, bool and None. The walk builds one %-template with a %s per
-    float, and the floats fill it in one pass through float.__repr__
-    (NaN and +-inf as json writes them).
+    float, and the floats, gathered into one float64 array, fill it from
+    one orjson call (NaN and +-inf as json writes them).
     """
+    import orjson  # imported on first use, so that importing reachkit skips it
+
     floats = []
     template = _template(obj, "\n", floats)
-    texts = list(map(float.__repr__, floats))
-    if not _NONFINITE.keys().isdisjoint(texts):
-        texts = [_NONFINITE.get(text, text) for text in texts]
+    if not floats:
+        return template % () + "\n"
+    values = np.hstack(floats)
+    # [a,b,c] -> ,a,b,c]
+    blob = b"," + orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:]
+    texts = _repr_spelling(blob)[1:-1].decode().split(",")
+    nonfinite = np.flatnonzero(~np.isfinite(values))
+    for i, value in zip(nonfinite.tolist(), values[nonfinite].tolist()):
+        texts[i] = _NONFINITE[repr(value)]
     return template % tuple(texts) + "\n"
 
 
 def _template(obj, newline: str, floats: list) -> str:
-    """obj's JSON text with each float a %s, appended to floats in order;
-    newline is the line break plus the indent of obj's own line."""
+    """obj's JSON text with each float a %s, its value appended to floats
+    in order (a float table as one array); newline is the line break plus
+    the indent of obj's own line."""
     if isinstance(obj, str):
         return _quoted(obj)
     if obj is None:
@@ -82,7 +137,7 @@ def _template(obj, newline: str, floats: list) -> str:
         items = [_template(item, inner, floats) for item in obj]
     else:
         # every item renders as the first does, so its template repeats
-        floats.extend(table.ravel().tolist())
+        floats.append(table.ravel())
         items = [_template(obj[0], inner, [])] * len(obj)
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 

@@ -117,8 +117,8 @@ def polytope_to_json(poly: Polytope) -> dict:
         "dim": poly.dim,
         "vertices": poly.vertices.tolist(),
         "facets": [
-            {"normal": n.tolist(), "offset": float(o)}
-            for n, o in zip(poly.facet_normals, poly.facet_offsets)
+            {"normal": n, "offset": o}
+            for n, o in zip(poly.facet_normals.tolist(), poly.facet_offsets.tolist())
         ],
         "volume": poly.volume,
         "degenerate": poly.degenerate,

@@ -20,6 +20,8 @@ def loaded():
                      'scipy.stats'})
 def any_scipy():
     return any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)
+def any_orjson():
+    return any(m == 'orjson' or m.startswith('orjson.') for m in sys.modules)
 """
 
 
@@ -107,3 +109,26 @@ code = cli.run(raw, out_dir={str(tmp_path / "out")!r})
 print(json.dumps({{"code": code, "scipy": any_scipy()}}))
 """
     assert run_python(code) == {"code": 0, "scipy": False}
+
+
+def test_orjson_loads_on_the_first_render(tmp_path):
+    # the artifact renderers import orjson; importing reachkit and the
+    # switch scan, which render nothing, leave it unloaded
+    code = f"""
+import numpy as np
+import reachkit as rk
+steps = {{"import reachkit": any_orjson()}}
+demo = rk.LtiSystem([[0.4, -0.3], [0.5, 1.7]], [[1.0], [0.0]])
+rk.bang_bang_control(demo, rk.ControlBounds.symmetric(1.0), np.array([1.0, -1.0]), 1.0)
+rk.switch_count(demo, np.array([1.0, -1.0]), 1.0, 1001)
+steps["switch scan"] = any_orjson()
+from reachkit import cli
+steps["import reachkit.cli"] = any_orjson()
+raw = json.loads(open({str(CONFIG_DIR / "gramian.json")!r}).read())
+steps["gramian exit"] = cli.run(raw, out_dir={str(tmp_path / "out")!r})
+steps["gramian"] = any_orjson()
+print(json.dumps(steps))
+"""
+    assert run_python(code) == {"import reachkit": False, "switch scan": False,
+                                "import reachkit.cli": False, "gramian exit": 0,
+                                "gramian": True}
