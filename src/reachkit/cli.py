@@ -42,8 +42,8 @@ from .design import (
     surrogate_wing_problem,
 )
 from .errors import ConfigError
-from .geometry import polytope_to_json
-from .gramian import ellipsoid_to_json, gramian_trace, reachability_gramian
+from .geometry import polytope_payload
+from .gramian import ellipsoid_payload, gramian_trace, reachability_gramian
 from .lpreach import (DEFAULT_NODES, LpSpec, cloud_to_csv, costate_grid, inner_approx,
                       sample_reach, simpson_weights)
 from .lti import LtiSystem
@@ -196,7 +196,7 @@ def _parse_boundary(system: _Section, task: _Section):
         curve = boundary_curve(sys_, bounds, T=T, n_eta=n_eta)
         artifacts = {"boundary.csv": boundary_curve_to_csv(curve).encode()}
         if curve.n == 2:
-            payload = polytope_to_json(reach_hull_planar(curve))
+            payload = polytope_payload(reach_hull_planar(curve))
             payload["exact"] = curve.exact
             artifacts["hull.json"] = _json_bytes(payload)
         return artifacts
@@ -211,10 +211,10 @@ def _parse_gramian(system: _Section, task: _Section):
 
     def compute():
         g = reachability_gramian(sys_, T)
-        payload = ellipsoid_to_json(g, budget)
+        payload = ellipsoid_payload(g, budget)
         payload["trace"] = gramian_trace(g)
-        payload["eigenvalues"] = g.eigenvalues.tolist()
-        payload["W"] = g.W.tolist()
+        payload["eigenvalues"] = g.eigenvalues
+        payload["W"] = g.W
         return {"gramian.json": _json_bytes(payload)}
 
     return compute
@@ -234,14 +234,14 @@ def _lp_task(system: _Section, task: _Section, sweep, artifacts, needs_hull=Fals
 def _cloud_artifacts(cloud) -> dict:
     artifacts = {"cloud.csv": cloud_to_csv(cloud).encode()}
     if cloud.hull is not None:
-        artifacts["hull.json"] = _json_bytes(polytope_to_json(cloud.hull))
+        artifacts["hull.json"] = _json_bytes(polytope_payload(cloud.hull))
     return artifacts
 
 
 def _volume_artifacts(cloud) -> dict:
     if cloud.hull is None:
         raise ValueError("no reachable endpoints: volume undefined")
-    return {"hull.json": _json_bytes(polytope_to_json(cloud.hull))}
+    return {"hull.json": _json_bytes(polytope_payload(cloud.hull))}
 
 
 def _parse_constraint(constraint: _Section, n: int):
@@ -378,15 +378,16 @@ def run(raw, task: str | None = None, out_dir: str | None = None, seed: int | No
     return EXIT_OK
 
 
+_PARSER = argparse.ArgumentParser(prog="reachkit",
+                                  description="Reachable-set computations for LTI systems.")
+_PARSER.add_argument("task", choices=list(TASKS))
+_PARSER.add_argument("--config", required=True, help="path to a JSON run config")
+_PARSER.add_argument("--out", default=None, help="output directory (overrides config)")
+_PARSER.add_argument("--seed", type=int, default=None, help="seed recorded in the manifest")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="reachkit", description="Reachable-set computations for LTI systems."
-    )
-    parser.add_argument("task", choices=list(TASKS))
-    parser.add_argument("--config", required=True, help="path to a JSON run config")
-    parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, default=None, help="seed recorded in the manifest")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         raw = json.loads(Path(args.config).read_text())

@@ -1,12 +1,14 @@
 """Convex hulls, membership tests, and volumes for point clouds in R^2..R^4."""
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvout import json_text
 from .errors import DegenerateGeometryError, UnsupportedDimensionError
 
-__all__ = ["Polytope", "convex_hull", "polytope_to_json"]
+__all__ = ["Polytope", "convex_hull", "polytope_payload", "polytope_to_json"]
 
 
 @dataclass
@@ -60,6 +62,17 @@ def _degenerate_polytope(points: np.ndarray, dim: int) -> Polytope:
     )
 
 
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """np.unique(rows, axis=0) of a float64 table, by one lexsort and an
+    adjacent-row compare. Equal rows that differ in a zero's sign are
+    left to np.unique, whose unstable sort picks the sign."""
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    same = (ordered[1:] == ordered[:-1]).all(axis=1)
+    if np.any(same != (ordered[1:].view(np.int64) == ordered[:-1].view(np.int64)).all(axis=1)):
+        return np.unique(rows, axis=0)
+    return np.concatenate([ordered[:1], ordered[1:][~same]])
+
+
 def convex_hull(points, dim: int | None = None) -> Polytope:
     """Convex hull of a point cloud in dimension 2 to 4.
 
@@ -101,7 +114,7 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
         idx = np.roll(idx, -int(np.lexsort((points[idx, 1], points[idx, 0]))[0]))
     else:
         idx = np.sort(idx)
-    facets = np.unique(hull.equations, axis=0)
+    facets = _unique_rows(hull.equations)
     return Polytope(
         dim=dim,
         vertices=points[idx].copy(),
@@ -112,14 +125,14 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
     )
 
 
+def polytope_payload(poly: Polytope) -> dict:
+    """The polytope as json_text renders it: its vertices, and a record
+    array of its facets' (normal, offset)."""
+    facets = np.rec.fromarrays([poly.facet_normals, poly.facet_offsets],
+                               dtype=[("normal", float, (poly.dim,)), ("offset", float)])
+    return {"dim": poly.dim, "vertices": poly.vertices, "facets": facets,
+            "volume": poly.volume, "degenerate": poly.degenerate}
+
+
 def polytope_to_json(poly: Polytope) -> dict:
-    return {
-        "dim": poly.dim,
-        "vertices": poly.vertices.tolist(),
-        "facets": [
-            {"normal": n, "offset": o}
-            for n, o in zip(poly.facet_normals.tolist(), poly.facet_offsets.tolist())
-        ],
-        "volume": poly.volume,
-        "degenerate": poly.degenerate,
-    }
+    return json.loads(json_text(polytope_payload(poly)))

@@ -2,11 +2,13 @@
 and minimum-energy point-to-point control.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvout import json_text
 from .errors import NumericRangeError, UnreachableTargetError
 from .lti import LtiSystem, expm_grid, matrix_exponential
 
@@ -17,6 +19,7 @@ __all__ = [
     "ellipsoid_axes",
     "min_energy_control",
     "gramian_trace",
+    "ellipsoid_payload",
     "ellipsoid_to_json",
 ]
 
@@ -178,13 +181,13 @@ def gramian_trace(g: Gramian) -> float:
     return float(np.trace(g.W))
 
 
+def ellipsoid_payload(g: Gramian, c: float) -> dict:
+    """The ellipsoid as json_text renders it: a record array of its axes'
+    (length, direction)."""
+    axes = np.rec.fromarrays(list(zip(*ellipsoid_axes(g, c))),
+                             dtype=[("length", float), ("direction", float, (len(g.W),))])
+    return {"T": g.T, "c": float(c), "axes": axes}
+
+
 def ellipsoid_to_json(g: Gramian, c: float) -> dict:
-    axes = ellipsoid_axes(g, c)
-    return {
-        "T": g.T,
-        "c": float(c),
-        "axes": [
-            {"length": length, "direction": direction.tolist()}
-            for length, direction in axes
-        ],
-    }
+    return json.loads(json_text(ellipsoid_payload(g, c)))

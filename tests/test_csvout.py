@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachkit import cli
-from reachkit.csvout import _repr_spelling, csv_text, json_text
+from reachkit.csvout import csv_text, json_text
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -86,13 +86,6 @@ def test_spelling_sweep_matches_repr():
     assert first_difference(got, json.dumps(obj, indent=2, sort_keys=True) + "\n") is None
 
 
-def test_repr_spelled_numbers_pass_through():
-    # an orjson that already spelled floats as repr does would be left alone
-    values = spelling_sweep()
-    blob = b"," + ",".join(map(repr, values[np.isfinite(values)].tolist())).encode() + b"]"
-    assert _repr_spelling(blob) == blob
-
-
 NUMBERS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
 STRINGS = st.text(max_size=6) | st.sampled_from(["%", "%s", "100%%", '"', "\n", "é€", "a\\b"])
 KEYS = STRINGS | st.sampled_from(["normal", "offset", "vertices"])
@@ -157,6 +150,21 @@ CLI_CONFIGS["lp_volume_optimize"] = {
 }
 
 
+def listed(obj):
+    """obj as json.dumps takes it: each array by .tolist(), a record array
+    as a list of dicts."""
+    if isinstance(obj, dict):
+        return {key: listed(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [listed(item) for item in obj]
+    if isinstance(obj, np.ndarray) and obj.dtype.names:
+        columns = [obj[name].tolist() for name in obj.dtype.names]
+        return [dict(zip(obj.dtype.names, record)) for record in zip(*columns)]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
+
+
 @pytest.mark.parametrize("name", list(CLI_CONFIGS))
 def test_json_text_renders_every_cli_payload(name, tmp_path, monkeypatch):
     payloads = []
@@ -169,4 +177,86 @@ def test_json_text_renders_every_cli_payload(name, tmp_path, monkeypatch):
     assert cli.run(CLI_CONFIGS[name], out_dir=str(tmp_path)) == cli.EXIT_OK
     assert len(payloads) >= 2  # the manifest and at least one artifact
     for obj in payloads:
-        assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert json_text(obj) == json.dumps(listed(obj), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", list(CLI_CONFIGS))
+def test_artifacts_are_the_stdlib_bytes(name, tmp_path):
+    # each JSON artifact is json.dumps of what it parses to, and each CSV
+    # csv.writer over the reprs of its parsed floats and its flags
+    assert cli.run(CLI_CONFIGS[name], out_dir=str(tmp_path)) == cli.EXIT_OK
+    for path in sorted(tmp_path.iterdir()):
+        text = path.read_bytes().decode()
+        if path.suffix == ".json":
+            want = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        else:
+            header, *rows = csv.reader(io.StringIO(text, newline=""))
+            want = written(header, [[cell if cell in ("true", "false") else repr(float(cell))
+                                     for cell in row] for row in rows])
+        assert first_difference(text, want) is None, path.name
+
+
+def written(header, rows) -> str:
+    """What csv.writer writes for header and rows."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+# every float whose spelling differs between repr and orjson, next to the
+# ones spelled alike, and the edges
+EDGES = np.array([-0.0, 0.0, 1e-4, -9.99e-5, 1.234e-5, 1e-5, -1e-9, 9.99e-10, 5e-324, 1e16,
+                  -9999999999999998.0, 1.7976931348623157e308, 0.1, -2.5, 1.5e-7, math.nan,
+                  math.inf, -math.inf])
+ARRAYS = {
+    "1-d": EDGES,
+    "2-d": EDGES.reshape(6, 3),
+    "3-d": EDGES.reshape(3, 3, 2),
+    "0-d": np.array(-1.5e-7),
+    "spelled-alike": np.array([[0.5, -2.0, 123.25], [1e-4, -0.0, 1e15], [1e-10, 3.0, 7.0]]),
+    "empty": np.zeros(0),
+    "empty-rows": np.zeros((0, 3)),
+    "zero-column": np.zeros((4, 0)),
+    "transposed": EDGES.reshape(6, 3).T,
+    "strided": EDGES.reshape(6, 3)[::2, ::-2],
+    "fortran": np.asfortranarray(EDGES.reshape(3, 6)),
+}
+FACET = np.dtype([("normal", float, (2,)), ("offset", float)])
+RECORDS = {
+    "facets": np.frombuffer(EDGES.tobytes(), dtype=FACET),
+    "no-records": np.zeros(0, dtype=FACET),
+    "one-scalar-field": np.frombuffer(EDGES[:4].tobytes(), dtype=[("x", float)]),
+    # unsorted fields, a 2-D field, an empty field, and names that json escapes
+    "keys": np.frombuffer(EDGES[:15].tobytes(), dtype=[("b", float), ("a", float, (2, 2)),
+                                                         ("é%s\x00", float, (0,))]),
+}
+
+
+@pytest.mark.parametrize("array", list(ARRAYS.values()) + list(RECORDS.values()),
+                         ids=list(ARRAYS) + list(RECORDS))
+def test_json_text_renders_float_arrays(array):
+    for obj in (array, {"t": array, "n": [array, 1.0, {}]}):
+        assert json_text(obj) == json.dumps(listed(obj), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", [name for name, array in ARRAYS.items() if array.ndim == 2])
+def test_csv_text_renders_float_arrays(name):
+    table = ARRAYS[name]
+    header = [f"c{i}" for i in range(table.shape[1])]
+    flags = np.arange(2 * len(table)).reshape(-1, 2) % 3 == 0
+    for marks in (None, flags, flags[:, :0]):
+        tail = [] if marks is None else [f"f{i}" for i in range(marks.shape[1])]
+        rows = [[repr(v) for v in row] for row in table.tolist()]
+        if marks is not None:
+            rows = [row + [str(m).lower() for m in mark] for row, mark in zip(rows, marks.tolist())]
+        assert csv_text(header + tail, table, marks) == written(header + tail, rows)
+
+
+@pytest.mark.parametrize("array", [np.arange(3), np.ones(2, dtype=np.float32),
+                                   np.zeros(2, dtype=[("a", float), ("n", int)])],
+                         ids=["int", "float32", "int-field"])
+def test_json_text_rejects_arrays_of_other_dtypes(array):
+    with pytest.raises(TypeError):
+        json_text({"a": array})

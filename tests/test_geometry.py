@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from reachkit import convex_hull, polytope_to_json
+from reachkit.csvout import json_text
 from reachkit.errors import DegenerateGeometryError, UnsupportedDimensionError
+from reachkit.geometry import _unique_rows, polytope_payload
 
 
 def unit_cube_corners(d):
@@ -263,3 +266,71 @@ class TestJsonExport:
         assert payload["volume"] == poly.volume
         assert len(payload["vertices"]) == 4
         assert all(set(f) == {"normal", "offset"} for f in payload["facets"])
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_dict_is_the_rendered_payload_as_lists(self, dim):
+        poly = convex_hull(np.random.default_rng(dim).standard_normal((40, dim)), dim)
+        payload = polytope_to_json(poly)
+        assert payload == {
+            "dim": dim,
+            "vertices": poly.vertices.tolist(),
+            "facets": [{"normal": n, "offset": o}
+                       for n, o in zip(poly.facet_normals.tolist(), poly.facet_offsets.tolist())],
+            "volume": poly.volume,
+            "degenerate": False,
+        }
+        assert list(payload["facets"][0]) == ["normal", "offset"]
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert json_text(polytope_payload(poly)) == want
+
+    def test_degenerate_payload(self):
+        poly = convex_hull([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], 2)
+        assert poly.degenerate
+        assert polytope_to_json(poly)["facets"] == []
+        want = json.dumps(polytope_to_json(poly), indent=2, sort_keys=True) + "\n"
+        assert json_text(polytope_payload(poly)) == want
+
+
+class TestUniqueRows:
+    """convex_hull's facet dedupe against the np.unique(axis=0) it stands
+    for, bit for bit: signs of zeros included."""
+
+    @staticmethod
+    def rows(seed, signed_zeros):
+        # few distinct values, so many duplicate rows; with signed_zeros,
+        # rows that compare equal but differ in a zero's sign
+        rng = np.random.default_rng(seed)
+        rows = rng.choice([-1.5, -1.0, 0.0, 0.5, 2.0], size=(int(rng.integers(1, 30)), 3))
+        rows = rows[rng.integers(0, len(rows), 3 * len(rows))]
+        if signed_zeros:
+            rows[(rows == 0.0) & (rng.random(rows.shape) < 0.5)] = -0.0
+        return rows
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_lexsort_matches_np_unique(self, seed, monkeypatch):
+        rows = self.rows(seed, signed_zeros=False)
+        want = np.unique(rows, axis=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called without a signed-zero tie")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        got = _unique_rows(rows)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_signed_zero_ties_keep_np_uniques_choice(self, seed):
+        rows = self.rows(seed, signed_zeros=True)
+        want = np.unique(rows, axis=0)
+        got = _unique_rows(rows)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_hull_facets_are_np_unique_of_qhull_equations(self, dim):
+        # cube corners give axis-aligned facets, whose normals hold zeros
+        rng = np.random.default_rng(dim)
+        for pts in (rng.standard_normal((200, dim)), unit_cube_corners(dim)):
+            equations = np.unique(ConvexHull(pts, qhull_options="Qt").equations, axis=0)
+            poly = convex_hull(pts, dim)
+            got = np.column_stack([poly.facet_normals, -poly.facet_offsets])
+            assert got.tobytes() == equations.tobytes()
